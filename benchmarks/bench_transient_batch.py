@@ -2,29 +2,27 @@
 
 Runs one survivability campaign — a hostile "contested burst" variant
 of the fig2 grid (``m × TIDS``, quick ``N = 40``) whose curves decay
-visibly inside the mission window — twice through the engine:
+visibly inside the mission window — twice:
 
-* **per-point serial** — every grid point builds its own chain and runs
-  uniformization per mission time (`BatchRunner()` + serial backend
-  over ``SurvivabilityRequest``s);
+* **per-point reference** — every grid point through
+  :func:`repro.core.metrics.evaluate_survivability`: its own chain and
+  the generic per-point uniformization
+  (:func:`repro.ctmc.transient.transient_distribution`), independent
+  of the batched code;
 * **batched vector** — ``--jobs vector``: one cached lattice structure,
-  rate fills stacked, one multi-point power sequence shared across the
-  *whole* mission-time grid
+  rate fills stacked, one multi-point power sequence
   (:func:`repro.ctmc.transient.transient_distribution_batch`).
 
-and asserts
-
-* the two campaigns agree within the documented equivalence bound
-  (:data:`repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL`) on every
-  survival value, failure CDF and time-bounded cost;
-* with ``REPRO_BENCH_REQUIRE_SPEEDUP=<X>`` set (the CI multi-core job
-  sets 2), the batched run is at least ``X``× faster than per-point
-  serial — the win is algorithmic (shared powers across the time grid
-  + vectorisation across points), so it must hold even on one core.
+and asserts that the two agree within the documented equivalence bound
+(:data:`repro.ctmc.transient.BATCH_EQUIVALENCE_RTOL`) on every survival
+value, failure CDF and time-bounded cost. Both paths share one power
+sequence across the time grid, so the batched win is vectorisation
+across points only (1.1–1.5× measured on 2 CPUs); it is reported, not
+gated.
 
 The report is also emitted as machine-readable JSON (``--json PATH`` or
 ``REPRO_BENCH_JSON=PATH``) with points/s and speedup, which CI uploads
-as an artifact so the speedup trend is diffable across commits.
+as an artifact so the trend is diffable across commits.
 
 Runs under pytest-benchmark like the other ``bench_*`` files and as a
 standalone script
@@ -42,14 +40,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.fastpath import clear_structure_cache
+from repro.core.metrics import evaluate_survivability
 from repro.ctmc.transient import BATCH_EQUIVALENCE_RTOL
 from repro.engine import BatchRunner, SurvivabilitySweep, available_cpus, make_backend
 from repro.voting.majority import clear_table_cache
 
 #: Mission-time grid (seconds). Λ for the lattice is ~1e3 (fast
 #: small-group rekey states), so uniformization depth is Λ·t_max ≈ 5e3
-#: — and the per-point path pays Λ·Σt ≈ 1.7e4 steps *per grid point*
-#: because it restarts the power sequence at every time point.
+#: matvecs per point.
 MISSION_TIMES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0)
 
 
@@ -80,14 +78,14 @@ def _cold_caches() -> None:
     clear_table_cache()
 
 
-def _campaign_curves(outcome):
+def _curves(results):
     return [
         (
             result.survival,
             result.failure_cdf["any"],
             result.time_bounded_cost,
         )
-        for _, result in outcome.points
+        for result in results
     ]
 
 
@@ -95,9 +93,16 @@ def _run_all():
     campaign = survivability_campaign(quick=True)
 
     _cold_caches()
-    serial = BatchRunner()
     t0 = time.perf_counter()
-    outcome_serial = campaign.run(serial)
+    serial_results = [
+        evaluate_survivability(
+            request.params,
+            request.network,
+            times=request.times_s,
+            eps=request.eps,
+        )
+        for _, request in campaign.requests()
+    ]
     serial_s = time.perf_counter() - t0
 
     _cold_caches()
@@ -118,20 +123,20 @@ def _run_all():
         "points_per_s_serial": n_unique / serial_s,
         "points_per_s_vector": n_unique / vector_s,
         "cpus": available_cpus(),
-        "outcome_serial": outcome_serial,
+        "serial_results": serial_results,
         "outcome_vector": outcome_vector,
     }
 
 
 def _assert_claims(r) -> None:
-    assert r["outcome_serial"].report.n_errors == 0
     assert r["outcome_vector"].report.n_errors == 0
 
     # Numerically equivalent within the documented bound across every
     # curve of the campaign — the solver contract.
+    vector_results = [result for _, result in r["outcome_vector"].points]
+    assert len(vector_results) == len(r["serial_results"])
     for serial_curves, vector_curves in zip(
-        _campaign_curves(r["outcome_serial"]),
-        _campaign_curves(r["outcome_vector"]),
+        _curves(r["serial_results"]), _curves(vector_results)
     ):
         for serial_curve, vector_curve in zip(serial_curves, vector_curves):
             np.testing.assert_allclose(
@@ -147,15 +152,6 @@ def _assert_claims(r) -> None:
         result.survival[-1] for _, result in r["outcome_vector"].points
     ]
     assert min(final_survival) < 0.9, final_survival
-
-    required = os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP")
-    if required:
-        floor = float(required)
-        assert r["speedup"] >= floor, (
-            f"batched transient {r['speedup']:.2f}x not >= required "
-            f"{floor:g}x (serial {r['serial_s']:.2f}s, vector "
-            f"{r['vector_s']:.2f}s, {r['cpus']} cpus)"
-        )
 
 
 def _json_report(r) -> dict:
@@ -210,7 +206,7 @@ def main(argv=None) -> None:
         f"{r['n_times']} mission times; {r['cpus']} cpus)"
     )
     print(
-        f"{'per-point serial':18s} {r['serial_s']:8.2f}s  "
+        f"{'per-point':18s} {r['serial_s']:8.2f}s  "
         f"{r['points_per_s_serial']:7.2f} pts/s   1.00x"
     )
     print(

@@ -37,8 +37,8 @@ result cache, safe to share between concurrent processes),
 ``--cache-cap-mb MB`` (LRU disk eviction cap), ``--structure-cache
 DIR|off`` (cross-worker lattice-structure sharing: shared memory by
 default, an on-disk ``.npz`` cache under DIR, or ``off`` to rebuild
-per worker), ``--kernel numba|fused|numpy`` (batched-solver kernel
-tier — sets ``REPRO_KERNEL``; all tiers bit-identical) and
+per worker), ``--kernel numba|fused`` (batched-solver kernel
+tier — sets ``REPRO_KERNEL``; both tiers bit-identical) and
 ``--verbose`` (cache hit/miss/eviction statistics plus per-phase batch
 timings).
 
@@ -65,6 +65,7 @@ from typing import Any, Optional, Sequence
 from .analysis.experiments import ExperimentConfig, get_experiment, list_experiments
 from .analysis.io import write_experiment_artifacts
 from .core.metrics import evaluate as evaluate_model
+from .ctmc.kernels import KERNEL_CHOICES
 from .engine import BatchRunner, make_runner
 from .engine.jobs import Campaign, SweepJob, load_campaign
 from .errors import ParameterError, ReproError
@@ -141,14 +142,14 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=("numba", "fused", "numpy"),
+        choices=KERNEL_CHOICES,
         default=None,
         help=(
             "batched-solver kernel tier (sets REPRO_KERNEL for this run "
             "and every pool worker): 'numba' = jitted one-pass sweep "
             "(needs the optional numba extra; falls back to 'fused' "
-            "when missing), 'fused' = fused-gather NumPy (default), "
-            "'numpy' = pre-fusion reference; all tiers are bit-identical"
+            "when missing), 'fused' = fused-gather NumPy (default); "
+            "both tiers are bit-identical"
         ),
     )
     parser.add_argument(
@@ -599,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_work.add_argument(
         "--kernel",
-        choices=("numba", "fused", "numpy"),
+        choices=KERNEL_CHOICES,
         default=None,
         help=(
             "batched-solver kernel tier for leased chunks (sets "

@@ -2,21 +2,22 @@
 
 This is the reproduction's main entry point. It assembles the scenario
 (network model, ``NG`` birth–death distribution, rate bundle, cost
-model), builds the security chain (vectorised lattice by default, the
-literal Figure 1 SPN on request), and runs the absorbing analysis:
+model), builds the security chain (the shared ``(t, u, d)`` lattice by
+default, the literal Figure 1 SPN on request), and runs the absorbing
+analysis:
 
 * **MTTSF** = mean time to absorption from the all-trusted marking;
 * **Ĉtotal** = expected accumulated communication cost ÷ MTTSF;
 * failure-mode split across C1 / C2 / depletion.
 
 :func:`evaluate` solves one scenario; :func:`evaluate_batch` solves a
-whole *sweep* at once. The paper's artifacts are sweeps whose grid
-points share the lattice topology and differ only in rates, so the
-batch path reuses one cached :class:`~repro.core.fastpath.LatticeStructure`
-per group size and runs a single multi-point level-scheduled backward
-sweep (:func:`repro.ctmc.acyclic.solve_dag_batch`) over stacked
-``(P, nnz)`` rate arrays — bit-identical per-point results, one shared
-pass instead of ``P`` rebuilds.
+whole *sweep* at once, through the same pipeline (a single point is a
+batch of one). The paper's artifacts are sweeps whose grid points share
+the lattice topology and differ only in rates, so the pipeline reuses
+one cached :class:`~repro.core.fastpath.LatticeStructure` per group
+size and runs a single multi-point level-scheduled backward sweep
+(:func:`repro.ctmc.acyclic.solve_dag_batch`) over stacked ``(P, nnz)``
+rate arrays — one shared pass instead of ``P`` rebuilds.
 
 :func:`evaluate_survivability` / :func:`evaluate_survivability_batch`
 are the *transient* counterparts: instead of steady-state absorption
@@ -38,7 +39,10 @@ import numpy as np
 from ..costs.aggregate import GCSCostModel
 from ..costs.components import COMPONENT_NAMES
 from ..costs.sizes import MessageSizes
-from ..ctmc.absorbing import analyze_absorbing
+# Not called here: the lattice solves through ``solve_dag_batch`` and the
+# SPN path through ``analyze_spn``. Kept importable under this module
+# because ``perfbench/layers.py`` times the absorbing layer by this name.
+from ..ctmc.absorbing import analyze_absorbing  # noqa: F401
 from ..ctmc.acyclic import solve_dag_batch
 from ..ctmc.birth_death import BirthDeathProcess
 from ..ctmc.transient import (
@@ -166,87 +170,44 @@ class GCSEvaluation:
             raise ParameterError(
                 "include_variance is only supported by the fast method"
             )
+        if include_breakdown and method != "fast":
+            raise ParameterError(
+                "include_breakdown is only supported by the fast method; "
+                "the SPN paths exist for cross-validation"
+            )
+        if method == "fast":
+            # A batch of one through the shared lattice pipeline.
+            structure = lattice_structure(self.params.num_nodes)
+            point = _prepare_point(
+                structure,
+                0,
+                self.params,
+                self.network,
+                include_breakdown=include_breakdown,
+                sizes=sizes,
+            )
+            x, m2, solve_s = _solve_prepared(
+                structure, [point], include_variance=include_variance
+            )
+            return _package_point(
+                structure,
+                point,
+                x[0],
+                m2[0] if m2 is not None else None,
+                solve_s,
+            )
         cost_model = GCSCostModel(
             self.params,
             self.network,
             sizes=sizes,
             ng_distribution=self.ng_distribution,
         )
-        if method == "fast":
-            return self._run_fast(cost_model, include_breakdown, include_variance)
-        return self._run_spn(cost_model, include_breakdown, method, max_states)
-
-    # ------------------------------------------------------------------
-    def _run_fast(
-        self,
-        cost_model: GCSCostModel,
-        include_breakdown: bool,
-        include_variance: bool = False,
-    ) -> GCSResult:
-        t0 = time.perf_counter()
-        lattice = build_lattice_chain(
-            self.params, self.network, expected_groups=self.expected_groups
-        )
-        n_states = lattice.num_states
-        costs = cost_model.cost_vector(
-            lattice.t, lattice.u, lattice.d, per_component=include_breakdown
-        )
-        rewards: dict[str, np.ndarray] = {}
-        if include_breakdown:
-            total = np.zeros(n_states)
-            for name, vec in costs.items():
-                padded = np.append(vec, 0.0)  # C1 state accrues nothing
-                rewards[f"cost_{name}"] = padded
-                total += padded
-            rewards["cost"] = total
-        else:
-            rewards["cost"] = np.append(costs, 0.0)
-        build_s = time.perf_counter() - t0
-
-        t1 = time.perf_counter()
-        solution = analyze_absorbing(
-            lattice.chain,
-            initial=lattice.initial_state,
-            rewards=rewards,
-            absorbing_classes=lattice.absorbing_classes(),
-            second_moment=include_variance,
-        )
-        solve_s = time.perf_counter() - t1
-
-        return self._package(
-            solution.mtta,
-            solution.expected_reward("cost"),
-            {
-                str(FailureClass.C1_DATA_LEAK): solution.absorption_probability(
-                    "c1_data_leak"
-                ),
-                str(FailureClass.C2_BYZANTINE): solution.absorption_probability(
-                    "c2_byzantine"
-                ),
-                str(FailureClass.DEPLETION): solution.absorption_probability(
-                    "depletion"
-                ),
-            },
-            cost_model,
-            n_states,
-            solution.method,
-            build_s,
-            solve_s,
-            breakdown={
-                name.removeprefix("cost_"): solution.expected_reward(name)
-                for name in rewards
-                if name != "cost"
-            }
-            if include_breakdown
-            else None,
-            mttsf_std=solution.mtta_std if include_variance else None,
-        )
+        return self._run_spn(cost_model, method, max_states)
 
     # ------------------------------------------------------------------
     def _run_spn(
         self,
         cost_model: GCSCostModel,
-        include_breakdown: bool,
         method: str,
         max_states: int,
     ) -> GCSResult:
@@ -303,16 +264,17 @@ class GCSEvaluation:
         )
         solve_s = time.perf_counter() - t1
 
-        if include_breakdown:
+        mttsf = analysis.mtta
+        if mttsf <= 0.0:
             raise ParameterError(
-                "include_breakdown is only supported by the fast method; "
-                "the SPN paths exist for cross-validation"
+                "MTTSF evaluated to zero: the initial marking is already failed"
             )
-
-        return self._package(
-            analysis.mtta,
-            analysis.expected_reward("cost"),
-            {
+        ctotal = analysis.expected_reward("cost") / mttsf
+        return GCSResult(
+            params=self.params,
+            mttsf_s=mttsf,
+            ctotal_hop_bits_s=ctotal,
+            failure_probabilities={
                 str(FailureClass.C1_DATA_LEAK): analysis.absorption_probability(
                     "c1_data_leak"
                 ),
@@ -323,50 +285,11 @@ class GCSEvaluation:
                     "depletion"
                 ),
             },
-            cost_model,
-            analysis.chain.num_states,
-            f"spn/{analysis.solution.method}",
-            build_s,
-            solve_s,
-        )
-
-    # ------------------------------------------------------------------
-    def _package(
-        self,
-        mttsf: float,
-        accumulated_cost: float,
-        probs: dict[str, float],
-        cost_model: GCSCostModel,
-        n_states: int,
-        solver: str,
-        build_s: float,
-        solve_s: float,
-        *,
-        breakdown: Optional[dict[str, float]] = None,
-        mttsf_std: Optional[float] = None,
-    ) -> GCSResult:
-        if mttsf <= 0.0:
-            raise ParameterError(
-                "MTTSF evaluated to zero: the initial marking is already failed"
-            )
-        ctotal = accumulated_cost / mttsf
-        if breakdown is not None and "total" not in breakdown:
-            breakdown = {
-                **{k: v / mttsf for k, v in breakdown.items()},
-                "total": ctotal,
-            }
-        return GCSResult(
-            params=self.params,
-            mttsf_s=mttsf,
-            ctotal_hop_bits_s=ctotal,
-            failure_probabilities=probs,
             channel_utilization=cost_model.channel_utilization(ctotal),
-            num_states=n_states,
-            solver=solver,
+            num_states=analysis.chain.num_states,
+            solver=f"spn/{analysis.solution.method}",
             build_seconds=build_s,
             solve_seconds=solve_s,
-            cost_breakdown=breakdown,
-            mttsf_std_s=mttsf_std,
         )
 
 
@@ -438,7 +361,7 @@ def _prepare_point(
     include_breakdown: bool,
     sizes: Optional[MessageSizes],
 ) -> _PreparedPoint:
-    """Mirror of :meth:`GCSEvaluation._run_fast`'s build stage."""
+    """Rate fill + reward columns of one point on the shared structure."""
     t0 = time.perf_counter()
     net = resolve_network(params, network)
     bd = BirthDeathProcess.for_group_count(
@@ -458,9 +381,9 @@ def _prepare_point(
     costs = cost_model.cost_vector(
         structure.t, structure.u, structure.d, per_component=include_breakdown
     )
-    # Reward columns exactly as the per-point path assembles them: the
-    # C1 state accrues nothing, and with a breakdown the total is its
-    # own solved column (not the sum of the component solutions).
+    # Reward columns: the C1 state accrues nothing, and with a
+    # breakdown the total is its own solved column (not the sum of the
+    # component solutions).
     reward_columns: list[np.ndarray] = []
     breakdown_names: Optional[list[str]] = None
     if include_breakdown:
@@ -541,7 +464,7 @@ def _package_point(
     m2: Optional[np.ndarray],
     solve_seconds: float,
 ) -> GCSResult:
-    """Mirror of :meth:`GCSEvaluation._package` for one solved column set."""
+    """One point's :class:`GCSResult` from its solved column set."""
     init = structure.initial_state
     n_rewards = len(point.reward_columns)
     mttsf = float(x[init, 0])
@@ -602,7 +525,7 @@ def evaluate_batch_outcomes(
     :class:`~repro.engine.executor.PointOutcome` records from.
 
     ``kernel`` selects the batched-sweep tier explicitly
-    (``numba``/``fused``/``numpy``); ``None`` follows ``REPRO_KERNEL``
+    (``numba``/``fused``); ``None`` follows ``REPRO_KERNEL``
     — see :func:`repro.ctmc.kernels.resolve_kernel`. Every tier
     produces bit-identical results, so the choice never enters cache
     keys or request fingerprints.
@@ -759,7 +682,10 @@ def evaluate_survivability(
     The per-point reference path: builds the fast-lattice chain and runs
     uniformization (:func:`repro.ctmc.transient.transient_distribution`)
     over the strictly increasing, non-negative mission-time grid. The
-    batched counterpart is :func:`evaluate_survivability_batch`.
+    engine evaluates survivability through
+    :func:`evaluate_survivability_batch_outcomes` (one point is a batch
+    of one); this function stays independent of it so the differential
+    tests have a reference to compare the batched curves against.
     """
     times = _validate_mission_times(times)
     t0 = time.perf_counter()
@@ -997,8 +923,9 @@ def evaluate_batch(
     structure), their rate fills are stacked, and a single multi-point
     level-scheduled backward sweep solves every point simultaneously —
     including the variance sweep when ``include_variance`` is set.
-    Results are **bit-identical** to calling :func:`evaluate` per point
-    (asserted by the test suite) and come back in input order.
+    Results come back in input order and do not depend on how points
+    are batched: each is **bit-identical** to the generic absorbing
+    analysis of its own chain (asserted by the test suite).
 
     Raises the first per-point failure, matching the exception
     semantics of a serial loop; use :func:`evaluate_batch_outcomes`

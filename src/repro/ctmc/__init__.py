@@ -31,7 +31,6 @@ from .birth_death import BirthDeathProcess
 from .chain import CTMC
 from .kernels import (
     KERNEL_CHOICES,
-    fused_gather_enabled,
     numba_available,
     resolve_kernel,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "EXPM_EQUIVALENCE_RTOL",
     "KERNEL_CHOICES",
     "TRANSIENT_BACKEND_CHOICES",
-    "fused_gather_enabled",
     "numba_available",
     "resolve_kernel",
     "resolve_transient_backend",

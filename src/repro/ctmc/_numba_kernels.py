@@ -11,10 +11,11 @@ the caller, which falls back to the fused NumPy tier.
 
 Both kernels reproduce the fused NumPy tier's IEEE operation sequence
 exactly — sequential multiply–accumulate in CSR slot order, division
-last — so their results are bit-identical to the ``fused`` (and hence
-``numpy``) tiers; the differential test layer asserts this whenever
-numba is importable. ``fastmath`` stays off: reassociation would break
-the bit-identity contract for a few percent at best.
+last — so their results are bit-identical to the ``fused`` tier (and
+hence to the per-point reference); the differential test layer asserts
+this whenever numba is importable. ``fastmath`` stays off:
+reassociation would break the bit-identity contract for a few percent
+at best.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import SolverError
 from ..obs import metrics, span
 from .chain import CTMC
-from .kernels import fused_gather_enabled, resolve_kernel
+from .kernels import resolve_kernel
 
 __all__ = [
     "DagStructure",
@@ -39,7 +39,6 @@ __all__ = [
     "BatchDagStructure",
     "batch_dag_structure",
     "solve_dag_batch",
-    "fused_gather_enabled",
 ]
 
 
@@ -308,22 +307,14 @@ def batch_dag_structure(
     )
 
 
-def _group_zero_patterns(
-    masks: np.ndarray, *, fast: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _group_zero_patterns(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group boolean rows by identical pattern: ``(patterns, inverse)``.
 
-    ``fast`` hashes each row's raw bytes into a dict — O(P · nnz) with
-    tiny constants. The legacy path is ``np.unique(axis=0)``, which
-    builds a structured dtype with one *field per slot* and is
-    catastrophically slow at lattice sizes (seconds at ``nnz ≈ 3·10⁵``);
-    it is kept only so ``REPRO_FUSED_GATHER=0`` reproduces the
-    pre-fusion baseline. Both return the same groups (grouping is a
-    vectorisation detail; the per-group arithmetic is identical), only
-    the pattern *order* may differ.
+    Hashes each row's raw bytes into a dict — O(P · nnz) with tiny
+    constants (``np.unique(axis=0)`` builds a structured dtype with one
+    field per slot and takes seconds at ``nnz ≈ 3·10⁵``). Patterns come
+    back in first-seen order.
     """
-    if not fast:
-        return np.unique(masks, axis=0, return_inverse=True)
     groups: dict[bytes, int] = {}
     inverse = np.empty(masks.shape[0], dtype=np.int64)
     representatives: list[int] = []
@@ -336,9 +327,7 @@ def _group_zero_patterns(
     return masks[representatives], inverse
 
 
-def _row_sums(
-    shared: BatchDagStructure, values: np.ndarray, *, fast_grouping: bool = False
-) -> np.ndarray:
+def _row_sums(shared: BatchDagStructure, values: np.ndarray) -> np.ndarray:
     """Per-point out-rates, bit-identical to scipy's on the pruned chain.
 
     scipy's CSR ``sum(axis=1)`` reduces each row's data with
@@ -369,7 +358,7 @@ def _row_sums(
     # pattern keeps the correction vectorised across points instead of
     # degrading to a per-point Python loop.
     masks = values[zero_points] != 0.0
-    patterns, inverse = _group_zero_patterns(masks, fast=fast_grouping)
+    patterns, inverse = _group_zero_patterns(masks)
     for g in range(patterns.shape[0]):
         keep = patterns[g]
         points = zero_points[inverse == g]
@@ -390,7 +379,6 @@ def solve_dag_batch(
     numerators: np.ndarray,
     boundary: np.ndarray,
     *,
-    fused: Optional[bool] = None,
     kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Solve the boundary-value recurrence for ``P`` rate fills at once.
@@ -409,18 +397,9 @@ def solve_dag_batch(
     boundary:
         ``(n, k)`` (shared) or ``(P, n, k)`` prescribed values at
         absorbing states; ignored at transient states.
-    fused:
-        Legacy switch: ``True``/``False`` selects the fused-gather or
-        the pre-fusion (``numpy``) kernel explicitly; ``None``
-        (default) defers to ``kernel``. The two kernels compute the
-        *same* IEEE operation sequence per element — equal results
-        (the fused kernel folds the pad-masking pass into a
-        sentinel-slot gather and skips no-op absorbing masks; it never
-        reorders a single addition).
     kernel:
-        Explicit kernel tier (``"numba"``/``"fused"``/``"numpy"``);
-        ``None`` (default) follows ``REPRO_KERNEL`` then the legacy
-        ``REPRO_FUSED_GATHER`` switch — see
+        Explicit kernel tier (``"numba"``/``"fused"``); ``None``
+        (default) follows ``REPRO_KERNEL`` — see
         :func:`repro.ctmc.kernels.resolve_kernel`. The ``numba`` tier
         runs the jitted one-pass sweep (bit-identical to ``fused``)
         and degrades to ``fused`` when numba is absent or the jit
@@ -454,7 +433,7 @@ def solve_dag_batch(
             f"boundary must have shape ({n}, {k}) or ({P}, {n}, {k}), "
             f"got {boundary.shape}"
         )
-    kernel = resolve_kernel(kernel, fused=fused)
+    kernel = resolve_kernel(kernel)
     if kernel == "numba":
         # Compile (and warm) the jitted kernels up front: a jit failure
         # degrades to the fused tier *before* the span opens, so the
@@ -472,10 +451,8 @@ def solve_dag_batch(
     ):
         if kernel == "numba":
             result = _solve_dag_batch_numba(shared, values, numerators, boundary)
-        elif kernel == "fused":
-            result = _solve_dag_batch_fused(shared, values, numerators, boundary)
         else:
-            result = _solve_dag_batch_legacy(shared, values, numerators, boundary)
+            result = _solve_dag_batch_fused(shared, values, numerators, boundary)
     registry = metrics()
     registry.counter("solver.dag_batch_solves").add()
     registry.counter("solver.dag_points_solved").add(P)
@@ -483,72 +460,25 @@ def solve_dag_batch(
     return result
 
 
-def _solve_dag_batch_legacy(
+def _sweep_setup(
     shared: BatchDagStructure,
     values: np.ndarray,
-    numerators: np.ndarray,
     boundary: np.ndarray,
-) -> np.ndarray:
-    """The pre-fusion (PR 4) kernel: per-``j`` row gathers + masked pads."""
-    P, n, k = numerators.shape
+    k: int,
+) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray]:
+    """Shared kernel prologue: ``(absorbing, uniform, safe_q, x)``.
 
-    # Gather the CSR values into the padded ELL layout (pads -> 0.0).
-    if shared.nnz == 0:
-        ell_vals = np.zeros((P,) + shared.ell_slots.shape)
-    else:
-        ell_vals = np.where(shared.ell_pad, 0.0, values[:, shared.ell_slots])
-
-    q = _row_sums(shared, values)
-
-    absorbing = q == 0.0
-    x = np.where(absorbing[:, :, None], boundary, 0.0)
-    safe_q = np.where(absorbing, 1.0, q)
-
-    for rows in shared.structure.level_states[1:]:
-        cols = shared.ell_cols[rows]
-        contrib = np.zeros((P, rows.size, k))
-        for j in range(shared.width):
-            contrib += ell_vals[:, rows, j, None] * x[:, cols[:, j], :]
-        solved = (numerators[:, rows, :] + contrib) / safe_q[:, rows, None]
-        x[:, rows, :] = np.where(absorbing[:, rows, None], x[:, rows, :], solved)
-
-    return x
-
-
-def _solve_dag_batch_fused(
-    shared: BatchDagStructure,
-    values: np.ndarray,
-    numerators: np.ndarray,
-    boundary: np.ndarray,
-) -> np.ndarray:
-    """Fused-gather kernel: one sentinel-slot gather, level-sliced views.
-
-    Three fusions over the legacy kernel, none of which changes a
-    single IEEE operation on the solved values:
-
-    * the ``(P, n, width)`` ELL value gather and its pad-masking
-      ``np.where`` pass collapse into *one* gather from the
-      zero-extended value array (pad slots point at a sentinel ``0.0``
-      column — exactly the value the mask produced);
-    * the gathered ELL rows are pre-permuted into level order
-      (``lvl_ell_slots``/``lvl_ell_cols``), so the per-level inner loop
-      slices contiguous views instead of fancy-gathering rows ``width``
-      times per level;
-    * when every point's absorbing set is exactly the structural one
-      (no explicit all-zero rows — the common case for real rate
-      fills), the boundary scatter happens once on the absorbing index
-      set and the per-level absorbing re-masking (a no-op there, since
-      levels ≥ 1 are structurally non-absorbing) is skipped entirely.
-
-    ``contrib`` accumulates strictly in CSR slot order starting from
-    the first term — the same sequential order as the legacy kernel's
-    ``0.0 + t₀ + t₁ + …`` (IEEE-identical: ``0.0 + t₀ == t₀`` for the
-    non-negative products of a rate fill) and as scipy's sequential
-    CSR matvec in per-point :func:`solve_dag`.
+    ``q`` comes from :func:`_row_sums`, whose pairwise
+    ``np.add.reduceat`` grouping is what matches scipy's row sums. When
+    every point's absorbing set is exactly the structural one (no
+    explicit all-zero rows — the common case for real rate fills),
+    ``uniform`` is set: the boundary scatter happens once on the
+    absorbing index set and the kernels skip the per-level absorbing
+    re-masking (a no-op there, since levels ≥ 1 are structurally
+    non-absorbing).
     """
-    P, n, k = numerators.shape
-
-    q = _row_sums(shared, values, fast_grouping=True)
+    P, n = values.shape[0], shared.num_states
+    q = _row_sums(shared, values)
     absorbing = q == 0.0
     struct_abs = shared.structure.levels == 0
     uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))
@@ -560,6 +490,39 @@ def _solve_dag_batch_fused(
     else:
         x = np.where(absorbing[:, :, None], boundary, 0.0)
         safe_q = np.where(absorbing, 1.0, q)
+    return absorbing, uniform, safe_q, x
+
+
+def _solve_dag_batch_fused(
+    shared: BatchDagStructure,
+    values: np.ndarray,
+    numerators: np.ndarray,
+    boundary: np.ndarray,
+) -> np.ndarray:
+    """Fused-gather kernel: one sentinel-slot gather, level-sliced views.
+
+    None of its shortcuts changes a single IEEE operation on the solved
+    values:
+
+    * the ``(P, n, width)`` ELL value gather reads from the
+      zero-extended value array, so pad slots (pointing at the sentinel
+      column) yield exact ``0.0`` with no masking pass;
+    * the gathered ELL rows are pre-permuted into level order
+      (``lvl_ell_slots``/``lvl_ell_cols``), so the per-level inner loop
+      slices contiguous views instead of fancy-gathering rows ``width``
+      times per level;
+    * when every point's absorbing set is exactly the structural one,
+      the per-level absorbing re-masking is skipped (see
+      :func:`_sweep_setup`).
+
+    ``contrib`` accumulates strictly in CSR slot order starting from
+    the first term — the same sequential order as scipy's CSR matvec
+    in per-point :func:`solve_dag` (``0.0 + t₀ == t₀`` for the
+    non-negative products of a rate fill, so the unseeded start is
+    IEEE-identical).
+    """
+    P, k = values.shape[0], numerators.shape[2]
+    absorbing, uniform, safe_q, x = _sweep_setup(shared, values, boundary, k)
 
     # One gather with a sentinel zero column replaces gather + mask.
     vals_ext = np.concatenate([values, np.zeros((P, 1))], axis=1)
@@ -592,35 +555,20 @@ def _solve_dag_batch_numba(
 ) -> np.ndarray:
     """Jitted one-pass sweep: the fused kernel compiled and point-parallel.
 
-    Setup (out-rates, absorbing masks, boundary scatter, sentinel
-    extension) is byte-for-byte the fused kernel's — in particular
-    ``q`` keeps coming from :func:`_row_sums`, whose pairwise
-    ``np.add.reduceat`` grouping is what matches scipy's row sums; only
-    the level sweep itself moves into
-    :func:`repro.ctmc._numba_kernels.dag_sweep`, which fuses the
-    per-level gather → MAC → divide chain into one compiled pass with
-    the parallel axis on *points* (levels within a point stay
-    sequential). The jitted MAC accumulates in the same CSR slot order
-    from the same unseeded first term, so results are bit-identical to
-    the fused (and hence the numpy and per-point) kernels.
+    Setup is the fused kernel's (:func:`_sweep_setup`); only the level
+    sweep itself moves into :func:`repro.ctmc._numba_kernels.dag_sweep`,
+    which fuses the per-level gather → MAC → divide chain into one
+    compiled pass with the parallel axis on *points* (levels within a
+    point stay sequential). The jitted MAC accumulates in the same CSR
+    slot order from the same unseeded first term, so results are
+    bit-identical to the fused (and hence the per-point) kernel.
     """
     from ._numba_kernels import dag_sweep
 
-    P, n, k = numerators.shape
-
-    q = _row_sums(shared, values, fast_grouping=True)
-    absorbing = q == 0.0
-    struct_abs = shared.structure.levels == 0
-    uniform = bool(np.array_equal(absorbing, np.broadcast_to(struct_abs, (P, n))))
-    if uniform:
-        x = np.zeros((P, n, k))
-        idx = np.flatnonzero(struct_abs)
-        x[:, idx, :] = boundary[:, idx, :]
-        safe_q = q  # levels >= 1 are non-absorbing for every point
-    else:
-        x = np.where(absorbing[:, :, None], boundary, 0.0)
-        safe_q = np.where(absorbing, 1.0, q)
-
+    P = values.shape[0]
+    absorbing, uniform, safe_q, x = _sweep_setup(
+        shared, values, boundary, numerators.shape[2]
+    )
     vals_ext = np.concatenate([values, np.zeros((P, 1))], axis=1)
     dag_sweep(
         vals_ext,

@@ -1,13 +1,10 @@
 """Kernel-tier selection for the batched solvers.
 
-Three tiers drive the batched DAG sweep and the batched uniformization
-matvec, all producing the same results:
+Two tiers drive the batched DAG sweep and the batched uniformization
+matvec, both producing the same results:
 
-* ``numpy`` — the pre-fusion (PR 4) reference path: per-``j`` row
-  gathers with masked pads, COO-assembled stacked jump matrix;
-* ``fused`` — the PR 5 fused-gather path: sentinel-slot gather,
-  level-ordered contiguous views, pattern-permuted CSR assembly.
-  Bit-identical to ``numpy`` (same IEEE operation sequence);
+* ``fused`` — the NumPy tier: sentinel-slot gather, level-ordered
+  contiguous views, pattern-permuted CSR assembly;
 * ``numba`` — jitted single-pass kernels (:mod:`._numba_kernels`):
   the per-level gather → multiply–accumulate chain fuses into one
   compiled pass, parallelised over the point axis. Bit-identical to
@@ -19,13 +16,12 @@ matvec, all producing the same results:
 
 Selection, most specific wins:
 
-1. an explicit ``kernel=`` argument to a solver entry point;
-2. an explicit legacy ``fused=`` boolean (``True`` → ``fused``,
-   ``False`` → ``numpy``);
-3. the ``REPRO_KERNEL`` environment variable (``numba|fused|numpy``,
-   set by the CLI ``--kernel`` flag);
-4. the legacy ``REPRO_FUSED_GATHER`` switch (default on → ``fused``,
-   ``0/off/false`` → ``numpy``).
+1. an explicit ``kernel=`` argument to a solver entry point (unknown
+   names raise :class:`~repro.errors.SolverError`);
+2. the ``REPRO_KERNEL`` environment variable (``numba|fused``, set by
+   the CLI ``--kernel`` flag; unknown values are ignored with a
+   one-shot warning);
+3. the default, ``fused``.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ from ..obs import metrics
 
 __all__ = [
     "KERNEL_CHOICES",
-    "fused_gather_enabled",
     "numba_available",
     "requested_kernel",
     "resolve_kernel",
@@ -48,26 +43,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 #: Recognised kernel tiers, fastest first.
-KERNEL_CHOICES = ("numba", "fused", "numpy")
+KERNEL_CHOICES = ("numba", "fused")
 
 _NUMBA_AVAILABLE: Optional[bool] = None
 _WARNED_ENV = False
 _WARNED_FALLBACK = False
-
-
-def fused_gather_enabled() -> bool:
-    """Whether the fused-gather batch kernel is enabled (default: yes).
-
-    ``REPRO_FUSED_GATHER=0`` selects the pre-fusion (PR 4) code path —
-    same results bit-for-bit, kept for A/B benchmarking and as a
-    fallback; anything else (or unset) selects the fused kernel.
-    Superseded by ``REPRO_KERNEL`` when that is set.
-    """
-    return os.environ.get("REPRO_FUSED_GATHER", "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-    )
 
 
 def numba_available() -> bool:
@@ -108,16 +88,13 @@ def requested_kernel() -> Optional[str]:
     return None
 
 
-def resolve_kernel(
-    kernel: Optional[str] = None, *, fused: Optional[bool] = None
-) -> str:
+def resolve_kernel(kernel: Optional[str] = None) -> str:
     """Resolve the kernel tier a solver call will actually run.
 
     ``kernel`` (validated — unknown names raise
-    :class:`~repro.errors.SolverError`) beats the legacy ``fused``
-    boolean, which beats ``REPRO_KERNEL``, which beats
-    ``REPRO_FUSED_GATHER``. A ``numba`` request degrades to ``fused``
-    when numba is not importable; the degradation is counted
+    :class:`~repro.errors.SolverError`) beats ``REPRO_KERNEL``, which
+    beats the ``fused`` default. A ``numba`` request degrades to
+    ``fused`` when numba is not importable; the degradation is counted
     (``solver.kernel_fallbacks``) and logged once.
     """
     global _WARNED_FALLBACK
@@ -127,12 +104,8 @@ def resolve_kernel(
             raise SolverError(
                 f"unknown kernel {kernel!r} (choices: {'/'.join(KERNEL_CHOICES)})"
             )
-    elif fused is not None:
-        name = "fused" if fused else "numpy"
     else:
-        name = requested_kernel()
-        if name is None:
-            name = "fused" if fused_gather_enabled() else "numpy"
+        name = requested_kernel() or "fused"
     if name == "numba" and not numba_available():
         metrics().counter("solver.kernel_fallbacks").add()
         if not _WARNED_FALLBACK:

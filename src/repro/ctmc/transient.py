@@ -18,10 +18,11 @@ Two entry layers:
   point summation order differs (batched gather/reduceat vs scipy's
   matvec), which keeps the two within :data:`BATCH_EQUIVALENCE_RTOL`
   relative error on the reproduction's chains (asserted by the
-  differential test layer). The batched sweep additionally reuses one
-  power sequence ``π(0)Pᵏ`` for *every* requested time point, instead
-  of restarting per time like the per-point loop — the dominant saving
-  on time-grid survivability campaigns.
+  differential test layer).
+
+Both layers advance one power sequence ``π(0)Pᵏ`` and let every
+requested time point accumulate its own Poisson window of it, so a time
+grid costs ``max_t Λt`` matvecs, not their sum.
 """
 
 from __future__ import annotations
@@ -129,26 +130,33 @@ def transient_distribution(
     pi0 = chain.validate_initial_distribution(initial)
 
     lam = chain.uniformization_rate()
-    P = chain.uniformized_dtmc(lam)
+    # ``v ↦ v P`` is a matvec with the transposed jump matrix; scipy
+    # builds that transpose on every ``v @ P``, so build it once.
+    jump_t = chain.uniformized_dtmc(lam).transpose()
 
     out = np.empty((ts.size, chain.num_states))
-    order = np.argsort(ts)
-    # Incremental evolution: reuse the power sequence across sorted times
-    # by restarting from scratch per time point (simple and robust; the
-    # figure pipelines only use a handful of time points).
-    for row, ti in zip(order, ts[order]):
-        if ti == 0.0:
-            out[row] = pi0
-            continue
-        left, right, w = poisson_weights(lam * ti, eps)
+    out[ts == 0.0] = pi0
+    rows = np.flatnonzero(ts > 0.0)
+    if rows.size:
+        # One shared power sequence v_k = π(0)Pᵏ: each time point adds
+        # its own truncated Poisson window of it in k order, exactly the
+        # additions a per-time restart would make.
+        windows = [poisson_weights(lam * float(ts[row]), eps) for row in rows]
+        lefts = np.array([left for left, _, _ in windows])
+        rights = np.array([right for _, right, _ in windows])
+        weights = np.zeros((rows.size, int((rights - lefts).max()) + 1))
+        for j, (left, right, w) in enumerate(windows):
+            weights[j, : right - left + 1] = w
+        acc = np.zeros((rows.size, chain.num_states))
         v = pi0.copy()
-        acc = np.zeros_like(pi0)
-        for k in range(0, right + 1):
-            if k >= left:
-                acc += w[k - left] * v
-            if k < right:
-                v = v @ P
-        out[row] = acc
+        k_max = int(rights.max())
+        for k in range(k_max + 1):
+            active = np.flatnonzero((lefts <= k) & (k <= rights))
+            if active.size:
+                acc[active] += weights[active, k - lefts[active], None] * v
+            if k < k_max:
+                v = jump_t @ v
+        out[rows] = acc
     # Guard against tiny negative round-off and renormalise.
     np.clip(out, 0.0, None, out=out)
     out /= out.sum(axis=1, keepdims=True)
@@ -202,47 +210,6 @@ def _validate_pattern(
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise SolverError("CSR column indices out of range")
     return indptr, indices, n
-
-
-def _stacked_jump_matrix(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    values: np.ndarray,
-    q: np.ndarray,
-    lam: np.ndarray,
-):
-    """Block-diagonal transposed uniformized jump matrix ``diag(P_pᵀ)``.
-
-    One scipy CSR over all ``P`` points: block ``p`` holds
-    ``P_p = I + Q_p/Λ_p`` transposed, so the whole power-sequence step
-    ``v_p ← v_p P_p`` for every point is a *single* ``(P·n, P·n)``
-    matrix–vector product on the stacked state vector — the CSR matvec
-    kernel, not a Python-level gather/reduce chain, which is what makes
-    the batched sweep fast at full lattice sizes.
-    """
-    import scipy.sparse as sp
-
-    num_points, n = q.shape
-    deg = np.diff(indptr)
-    slot_rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-    if indices.size and np.any(indices == slot_rows):
-        raise SolverError(
-            "pattern must not contain diagonal entries (self-loops have "
-            "no meaning in a CTMC; the per-point path drops them)"
-        )
-    offsets = (np.arange(num_points, dtype=np.int64) * n)[:, None]
-    diag_cols = np.arange(n, dtype=np.int64)[None, :] + offsets
-    rows = np.concatenate(
-        [(indices[None, :] + offsets).ravel(), diag_cols.ravel()]
-    )
-    cols = np.concatenate(
-        [(slot_rows[None, :] + offsets).ravel(), diag_cols.ravel()]
-    )
-    data = np.concatenate(
-        [(values / lam[:, None]).ravel(), (1.0 - q / lam[:, None]).ravel()]
-    )
-    size = num_points * n
-    return sp.csr_matrix((data, (rows, cols)), shape=(size, size))
 
 
 def _block_csr_pattern(
@@ -319,9 +286,8 @@ def _block_jump_data(
     """Per-point jump-chain data rows in canonical block slot order.
 
     Returns ``(block_indptr, block_indices, data)`` with ``data`` of
-    shape ``(P, block_nnz)`` holding ``P_p = I + Q_p/Λ_p`` transposed —
-    the exact value multiset :func:`_stacked_jump_matrix` stores, in
-    the canonical order scipy's COO→CSR conversion produces.
+    shape ``(P, block_nnz)`` holding ``P_p = I + Q_p/Λ_p`` transposed
+    in canonical CSR slot order.
     """
     num_points, n = q.shape
     block_indptr, block_indices, perm = _block_csr_pattern(indptr, indices, n)
@@ -333,22 +299,22 @@ def _block_jump_data(
     return block_indptr, block_indices, data
 
 
-def _stacked_jump_matrix_fused(
+def _stacked_jump_csr(
     indptr: np.ndarray,
     indices: np.ndarray,
     values: np.ndarray,
     q: np.ndarray,
     lam: np.ndarray,
 ):
-    """The same matrix as :func:`_stacked_jump_matrix`, assembled fused.
+    """Block-diagonal transposed uniformized jump matrix ``diag(P_pᵀ)``.
 
-    The canonical CSR layout of one ``n × n`` block is computed once
-    (:func:`_block_csr_pattern`) — a lexsort of ``nnz + n`` entries
-    instead of the COO conversion's sort over the ``P``-times-larger
-    stacked coordinate list — and every point's data row is one
-    permuted gather. The result is the identical canonical matrix
-    (same values in the same slots), so the power sequence it advances
-    is bit-for-bit the legacy one.
+    One scipy CSR over all ``P`` points: block ``p`` holds
+    ``P_p = I + Q_p/Λ_p`` transposed, so the power-sequence step
+    ``v_p ← v_p P_p`` for every point is a *single* ``(P·n, P·n)``
+    matrix–vector product on the stacked state vector. The canonical
+    layout of one ``n × n`` block is computed once
+    (:func:`_block_csr_pattern`) and every point's data row is one
+    permuted gather.
     """
     n = q.shape[1]
     block_indptr, block_indices, data = _block_jump_data(
@@ -468,7 +434,6 @@ def transient_distribution_batch(
     initial: Union[int, np.ndarray] = 0,
     *,
     eps: float = 1e-12,
-    fused: Optional[bool] = None,
     kernel: Optional[str] = None,
     backend: Optional[str] = None,
 ) -> np.ndarray:
@@ -499,19 +464,14 @@ def transient_distribution_batch(
     Poisson weights; see :data:`BATCH_EQUIVALENCE_RTOL`). One shared
     power sequence serves every requested time point.
 
-    ``kernel`` (``"numba"``/``"fused"``/``"numpy"``; ``None`` follows
-    ``REPRO_KERNEL`` then the legacy ``fused``/``REPRO_FUSED_GATHER``
-    switches — see :func:`repro.ctmc.kernels.resolve_kernel`) selects
-    the power-sequence matvec tier. ``fused`` assembles the stacked
-    jump matrix from a once-per-call pattern permutation instead of a
-    ``P``-times-larger COO sort and accumulates Poisson windows over a
-    time-major layout whose per-time slices are contiguous; ``numba``
-    replaces the scipy matvec with a jitted per-block CSR matvec
-    (parallel over points) whose sequential slot-order accumulation is
-    the exact scipy sequence. All three tiers produce the identical
-    matrix values and the identical addition sequence, so results are
-    equal bit-for-bit across tiers (and all stay within
-    :data:`BATCH_EQUIVALENCE_RTOL` of the per-point path).
+    ``kernel`` (``"numba"``/``"fused"``; ``None`` follows
+    ``REPRO_KERNEL`` — see :func:`repro.ctmc.kernels.resolve_kernel`)
+    selects the power-sequence matvec tier. ``fused`` advances every
+    point with one stacked scipy CSR matvec per step; ``numba``
+    replaces it with a jitted per-block CSR matvec (parallel over
+    points) whose sequential slot-order accumulation is the exact scipy
+    sequence, so the two tiers are equal bit-for-bit (and both stay
+    within :data:`BATCH_EQUIVALENCE_RTOL` of the per-point path).
 
     ``backend`` (``"uniformization"``/``"expm"``; ``None`` follows
     ``REPRO_TRANSIENT_BACKEND``, default uniformization) swaps the
@@ -548,7 +508,7 @@ def transient_distribution_batch(
 
     backend_name = resolve_transient_backend(backend)
     if backend_name == "expm":
-        kernel_name = resolve_kernel(kernel, fused=fused)
+        kernel_name = resolve_kernel(kernel)
         with span(
             "transient_batch",
             points=num_points,
@@ -596,9 +556,9 @@ def transient_distribution_batch(
 
     # Shared power sequence: v_k = π(0) P_pᵏ per point. All points
     # advance with one stacked CSR matvec per step (block-diagonal
-    # transposed jump matrices — see :func:`_stacked_jump_matrix`),
-    # or with the jitted per-block matvec on the ``numba`` tier.
-    kernel_name = resolve_kernel(kernel, fused=fused)
+    # transposed jump matrices — see :func:`_stacked_jump_csr`), or
+    # with the jitted per-block matvec on the ``numba`` tier.
+    kernel_name = resolve_kernel(kernel)
     matvec = None
     if kernel_name == "numba":
         try:
@@ -613,16 +573,9 @@ def transient_distribution_batch(
         block_indptr, block_indices, block_data = _block_jump_data(
             indptr, indices, values, q, lam
         )
-        jump_t = None
     else:
-        build = (
-            _stacked_jump_matrix_fused
-            if kernel_name == "fused"
-            else _stacked_jump_matrix
-        )
-        jump_t = build(indptr, indices, values, q, lam)
+        jump_t = _stacked_jump_csr(indptr, indices, values, q, lam)
 
-    flat = pi0.ravel().copy()
     with span(
         "transient_batch",
         points=num_points,
@@ -631,43 +584,27 @@ def transient_distribution_batch(
         kernel=kernel_name,
         backend="uniformization",
     ):
-        if kernel_name == "numpy":
-            out = np.zeros((num_points, num_times, n))
-            for k in range(k_max + 1):
-                v = flat.reshape(num_points, n)
-                for ti, (lo, hi, block) in enumerate(windows):
-                    if lo <= k <= hi:
-                        out[:, ti, :] += block[:, k - lo, None] * v
-                if k == k_max:
-                    break
-                flat = jump_t @ flat
-        else:
-            # Time-major accumulator: out_t[ti] is a contiguous (P, n)
-            # block, so the per-step weight accumulation writes
-            # unit-stride memory instead of the (P, T, n) layout's
-            # strided slices. Same additions in the same order —
-            # transposed back at the end. Shared by the fused and numba
-            # tiers, whose matvecs produce bit-equal sequences.
-            los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
-            his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
-            blocks_t = [
-                np.ascontiguousarray(block.T) for _, _, block in windows
-            ]
-            out_t = np.zeros((num_times, num_points, n))
-            v = flat.reshape(num_points, n)
-            for k in range(k_max + 1):
-                active = np.flatnonzero((los <= k) & (k <= his))
-                for ti in active:
-                    out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
-                if k == k_max:
-                    break
-                if matvec is not None:
-                    nxt = np.empty_like(v)
-                    matvec(block_indptr, block_indices, block_data, v, nxt)
-                    v = nxt
-                else:
-                    v = (jump_t @ v.reshape(-1)).reshape(num_points, n)
-            out = np.ascontiguousarray(out_t.transpose(1, 0, 2))
+        # Time-major accumulator: out_t[ti] is a contiguous (P, n)
+        # block, so the per-step weight accumulation writes unit-stride
+        # memory; transposed back to (P, T, n) at the end.
+        los = np.array([lo for lo, _, _ in windows], dtype=np.int64)
+        his = np.array([hi for _, hi, _ in windows], dtype=np.int64)
+        blocks_t = [np.ascontiguousarray(block.T) for _, _, block in windows]
+        out_t = np.zeros((num_times, num_points, n))
+        v = pi0.copy()
+        for k in range(k_max + 1):
+            active = np.flatnonzero((los <= k) & (k <= his))
+            for ti in active:
+                out_t[ti] += blocks_t[ti][k - los[ti]][:, None] * v
+            if k == k_max:
+                break
+            if matvec is not None:
+                nxt = np.empty_like(v)
+                matvec(block_indptr, block_indices, block_data, v, nxt)
+                v = nxt
+            else:
+                v = (jump_t @ v.reshape(-1)).reshape(num_points, n)
+        out = np.ascontiguousarray(out_t.transpose(1, 0, 2))
     registry = metrics()
     registry.counter("solver.transient_batch_solves").add()
     registry.counter("solver.transient_points_solved").add(num_points)

@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..core.metrics import (
     GCSEvaluation,
-    evaluate_survivability,
+    evaluate_survivability_batch_outcomes,
     resolve_network,
 )
 from ..core.optimizer import TradeoffPoint
@@ -107,8 +107,8 @@ class SurvivabilityRequest:
     """One scenario point's survivability curve over a mission-time grid.
 
     The engine's second first-class request type: evaluated by
-    :func:`evaluate_survivability_request` (per-point uniformization)
-    or — when a whole batch of them reaches the
+    :func:`evaluate_survivability_request` (a uniformization batch of
+    one) or — when a whole batch of them reaches the
     :class:`~repro.engine.executor.VectorBackend` — by one
     structure-sharing
     :func:`~repro.core.metrics.evaluate_survivability_batch_outcomes`
@@ -139,13 +139,20 @@ class SurvivabilityRequest:
 def evaluate_survivability_request(
     request: SurvivabilityRequest,
 ) -> SurvivabilityResult:
-    """Evaluate one survivability request (module level: picklable)."""
-    return evaluate_survivability(
-        request.params,
-        request.network,
+    """Evaluate one survivability request (module level: picklable).
+
+    A batch of one through the same pipeline the
+    :class:`~repro.engine.executor.VectorBackend` runs whole batches
+    through, so every backend returns the same bytes.
+    """
+    ((result, error),) = evaluate_survivability_batch_outcomes(
+        [(request.params, request.network)],
         times=request.times_s,
         eps=request.eps,
     )
+    if error is not None:
+        raise error
+    return result
 
 
 def evaluate_auto(

@@ -164,7 +164,6 @@ def _export_shared_structures(
 #: would silently break A/B benchmarking even though results agree.
 _KERNEL_ENV_VARS = (
     "REPRO_KERNEL",
-    "REPRO_FUSED_GATHER",
     "REPRO_TRANSIENT_BACKEND",
 )
 

@@ -35,7 +35,6 @@ MANIFEST_SCHEMA_VERSION = 1
 # raw (as set) and resolved (what the code will actually do).
 _KERNEL_ENV_VARS = (
     "REPRO_KERNEL",
-    "REPRO_FUSED_GATHER",
     "REPRO_STRUCTURE_SHARE",
     "REPRO_TRANSIENT_BACKEND",
 )
@@ -62,22 +61,21 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
 
 
 def _env_flag_default_on(name: str) -> bool:
-    # Mirrors ``kernels.fused_gather_enabled`` / ``structshare`` exactly
-    # (obs stays import-light, so the resolution is duplicated here).
+    # Mirrors ``structshare``'s switch exactly (obs stays import-light,
+    # so the resolution is duplicated here).
     return os.environ.get(name, "1").strip().lower() not in ("0", "off", "false")
 
 
 def _resolved_kernel() -> str:
     # Mirrors ``repro.ctmc.kernels.resolve_kernel`` without importing
-    # the solver stack: REPRO_KERNEL beats the legacy fused switch, and
-    # a numba request degrades to fused when numba isn't installed
-    # (checked via find_spec so obs never actually imports numba).
-    # Best-effort: a jit *failure* at solve time isn't visible here.
+    # the solver stack: an unrecognised REPRO_KERNEL means the fused
+    # default, and a numba request degrades to fused when numba isn't
+    # installed (checked via find_spec so obs never actually imports
+    # numba). Best-effort: a jit *failure* at solve time isn't visible
+    # here.
     requested = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if requested not in ("numba", "fused", "numpy"):
-        requested = (
-            "fused" if _env_flag_default_on("REPRO_FUSED_GATHER") else "numpy"
-        )
+    if requested not in ("numba", "fused"):
+        requested = "fused"
     if requested == "numba":
         import importlib.util
 
@@ -94,10 +92,9 @@ def _resolved_transient_backend() -> str:
 
 
 def kernel_flags() -> Dict[str, object]:
-    """Raw and resolved kernel/feature switches (default: both on)."""
+    """Raw and resolved kernel/feature switches."""
     return {
         "kernel": _resolved_kernel(),
-        "fused_gather": _env_flag_default_on("REPRO_FUSED_GATHER"),
         "structure_share": _env_flag_default_on("REPRO_STRUCTURE_SHARE"),
         "transient_backend": _resolved_transient_backend(),
         "env": {name: os.environ.get(name) for name in _KERNEL_ENV_VARS},

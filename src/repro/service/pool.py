@@ -192,7 +192,7 @@ class WorkerInfo:
     pid: int
     host: str
     backend: str
-    #: Advertised solver tier (``numba``/``fused``/``numpy``) — advisory
+    #: Advertised solver tier (``numba``/``fused``) — advisory
     #: roster information; never a scheduling input (tiers agree
     #: bit-for-bit, so placement on it would buy nothing).
     kernel: str

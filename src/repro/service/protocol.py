@@ -418,7 +418,8 @@ class WorkerRegistration:
 
     ``backend`` is the worker's *local* backend label (what it will run
     leased chunks on) and ``kernel`` its resolved solver tier
-    (``numba``/``fused``/``numpy``); both are recorded in the
+    (``numba``/``fused``; any string parses, so workers from before the
+    ``numpy`` tier was retired still register); both are recorded in the
     ``/health`` roster so an operator can see the pool's composition —
     and a mixed pool's kernel capabilities — at a glance. ``kernel``
     is advisory (every tier is bit-identical, so the scheduler never

@@ -1,10 +1,13 @@
 """Structure-sharing batched lattice solver: bit-identity + routing.
 
-The batched path must be *bit-identical* to the per-point fast path —
-not approximately equal — across the paper's figure grids, including
-the variance sweep and the cost breakdown. These tests pin that
-contract at a reduced ``N`` (the arithmetic is size-independent; the
-full-scale campaign equality is asserted by
+The batched path must be *bit-identical* to the independent per-point
+reference (:func:`lattice_reference.reference_evaluate`: the point's
+own CTMC through the generic absorbing analysis) — not approximately
+equal — across the paper's figure grids, including the variance sweep
+and the cost breakdown. ``evaluate()`` is itself a batch of one, so it
+is checked against the reference too rather than used as one. These
+tests pin that contract at a reduced ``N`` (the arithmetic is
+size-independent; the full-scale campaign equality is asserted by
 ``benchmarks/bench_batch_solver.py``), and cover the engine routing:
 ``VectorBackend`` / ``--jobs vector``, cache hit/miss parity with the
 process-pool path, ``tradeoff_curve(workers="vector")`` and
@@ -32,12 +35,12 @@ from repro.core.optimizer import optimize_tids, tradeoff_curve
 from repro.core.rates import GCSRates
 from repro.ctmc.acyclic import (
     batch_dag_structure,
-    fused_gather_enabled,
     solve_dag,
     solve_dag_batch,
     topological_levels,
 )
 from repro.ctmc.chain import CTMC
+from repro.ctmc.kernels import resolve_kernel
 from repro.engine import (
     BatchRunner,
     EvalRequest,
@@ -49,6 +52,8 @@ from repro.engine import (
 from repro.engine.batch import evaluate_request
 from repro.errors import ParameterError, SolverError
 from repro.params import GCSParameters
+
+from lattice_reference import reference_evaluate
 
 N_TEST = 16  # full paper grids at a lattice size that solves in ms
 
@@ -170,89 +175,104 @@ class TestSolveDagBatch:
 
 
 # ---------------------------------------------------------------------------
-# Fused-gather kernel: differential tests against the legacy kernel
+# Fused-gather kernel: differential tests against per-point solve_dag
 # ---------------------------------------------------------------------------
 
 class TestFusedGatherKernel:
-    """``REPRO_FUSED_GATHER`` on/off must be indistinguishable bit-for-bit."""
+    """The fused kernel (and numba, which must match it) against
+    per-point :func:`solve_dag` on each point's own chain, bit for bit."""
 
     def _lattice_fills(self, scenarios):
-        from repro.core.rates import GCSRates
-
         structure = lattice_structure(scenarios[0].num_nodes)
+        rates = [
+            GCSRates.from_scenario(p, resolve_network(p, None))
+            for p in scenarios
+        ]
         values = np.stack(
-            [
-                fill_transition_rates(
-                    structure,
-                    GCSRates.from_scenario(p, resolve_network(p, None)),
-                ).values
-                for p in scenarios
-            ]
+            [fill_transition_rates(structure, r).values for r in rates]
         )
-        return structure, values
+        return structure, rates, values
 
     @pytest.mark.parametrize("grid", ["fig2", "fig4"])
     def test_fused_bit_identical_on_paper_grids(self, grid):
         scenarios = _fig2_scenarios() if grid == "fig2" else _fig4_scenarios()
-        structure, values = self._lattice_fills(scenarios)
+        structure, rates, values = self._lattice_fills(scenarios)
         n = structure.num_states
         numer = np.ones((len(scenarios), n, 1))
         boundary = np.zeros((n, 1))
         boundary[structure.c1_state, 0] = 1.0
-        x_legacy = solve_dag_batch(
-            structure.dag, values, numer, boundary, fused=False
+        x = solve_dag_batch(
+            structure.dag, values, numer, boundary, kernel="fused"
         )
-        x_fused = solve_dag_batch(
-            structure.dag, values, numer, boundary, fused=True
-        )
-        assert np.array_equal(x_legacy, x_fused)
+        for p, (params, point_rates) in enumerate(zip(scenarios, rates)):
+            chain = build_lattice_chain(
+                params, resolve_network(params, None), rates=point_rates
+            ).chain
+            x_p = solve_dag(chain, topological_levels(chain), numer[p], boundary)
+            assert np.array_equal(x[p], x_p), f"{grid} point {p} diverged"
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_both_kernels_match_per_point_solve_dag(self, fused):
+    @pytest.mark.parametrize("zero_pruned", [True, False])
+    def test_both_kernels_match_per_point_solve_dag(self, zero_pruned):
         rng = np.random.default_rng(23)
         chain = _random_dag_chain(rng, n=35, density=0.25)
         R = chain.rates
         shared = batch_dag_structure(R.indptr, R.indices)
         n, k, P = chain.num_states, 2, 4
         values = np.stack([R.data * s for s in rng.uniform(0.5, 2.0, size=P)])
-        values[0, rng.random(values.shape[1]) < 0.2] = 0.0  # zero-pruned point
+        if zero_pruned:
+            values[0, rng.random(values.shape[1]) < 0.2] = 0.0
         numer = rng.uniform(0.0, 1.0, size=(P, n, k))
         boundary = np.zeros((n, k))
         boundary[chain.absorbing_states, 0] = 1.0
 
-        x = solve_dag_batch(shared, values, numer, boundary, fused=fused)
         import scipy.sparse as sp
 
-        for p in range(P):
-            chain_p = CTMC(
-                sp.csr_matrix(
-                    (values[p], R.indices.copy(), R.indptr.copy()),
-                    shape=R.shape,
+        for kernel in ("fused", "numba"):
+            x = solve_dag_batch(shared, values, numer, boundary, kernel=kernel)
+            for p in range(P):
+                chain_p = CTMC(
+                    sp.csr_matrix(
+                        (values[p], R.indices.copy(), R.indptr.copy()),
+                        shape=R.shape,
+                    )
                 )
-            )
-            x_p = solve_dag(
-                chain_p, topological_levels(chain_p), numer[p], boundary
-            )
-            assert np.array_equal(x[p], x_p), f"point {p} (fused={fused})"
+                x_p = solve_dag(
+                    chain_p, topological_levels(chain_p), numer[p], boundary
+                )
+                assert np.array_equal(x[p], x_p), f"point {p} ({kernel})"
 
     def test_env_toggle_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "0")
-        assert not fused_gather_enabled()
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "off")
-        assert not fused_gather_enabled()
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "1")
-        assert fused_gather_enabled()
-        monkeypatch.delenv("REPRO_FUSED_GATHER")
-        assert fused_gather_enabled()
+        monkeypatch.setenv("REPRO_KERNEL", "fused")
+        assert resolve_kernel() == "fused"
+        # The retired pre-fusion tier: ignored from the environment,
+        # rejected when asked for explicitly.
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        assert resolve_kernel() == "fused"
+        assert resolve_kernel("fused") == "fused"
+        R = _random_dag_chain(np.random.default_rng(5), n=10).rates
+        shared = batch_dag_structure(R.indptr, R.indices)
+        with pytest.raises(SolverError, match="numpy"):
+            solve_dag_batch(
+                shared,
+                R.data[None, :],
+                np.ones((1, 10, 1)),
+                np.zeros((10, 1)),
+                kernel="numpy",
+            )
 
     def test_evaluate_batch_identical_under_both_kernels(self, monkeypatch):
         scenarios = _fig2_scenarios()[:6]
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "0")
-        legacy = evaluate_batch(scenarios, include_variance=True)
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "1")
+        monkeypatch.setenv("REPRO_KERNEL", "fused")
         fused = evaluate_batch(scenarios, include_variance=True)
-        for a, b in zip(legacy, fused):
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
+        jitted = evaluate_batch(scenarios, include_variance=True)
+        for scenario, a, b in zip(scenarios, fused, jitted):
             _assert_identical(b, a, variance=True)
+            _assert_identical(
+                a,
+                reference_evaluate(scenario, include_variance=True),
+                variance=True,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +284,23 @@ class TestEvaluateBatchBitIdentical:
         scenarios = _fig2_scenarios()
         batch = evaluate_batch(scenarios)
         for scenario, result in zip(scenarios, batch):
-            _assert_identical(result, evaluate(scenario))
+            _assert_identical(result, reference_evaluate(scenario))
 
     def test_fig4_grid_with_variance(self):
         scenarios = _fig4_scenarios()
         batch = evaluate_batch(scenarios, include_variance=True)
         for scenario, result in zip(scenarios, batch):
             _assert_identical(
-                result, evaluate(scenario, include_variance=True), variance=True
+                result,
+                reference_evaluate(scenario, include_variance=True),
+                variance=True,
             )
 
     def test_breakdown_parity(self):
         scenarios = _fig2_scenarios()[:4]
         batch = evaluate_batch(scenarios, include_breakdown=True)
         for scenario, result in zip(scenarios, batch):
-            point = evaluate(scenario, include_breakdown=True)
+            point = reference_evaluate(scenario, include_breakdown=True)
             _assert_identical(result, point)
             assert dict(result.cost_breakdown) == dict(point.cost_breakdown)
 
@@ -293,13 +315,16 @@ class TestEvaluateBatchBitIdentical:
             for tids in (15.0, 60.0, 240.0)
         ]
         for scenario, result in zip(scenarios, evaluate_batch(scenarios)):
-            _assert_identical(result, evaluate(scenario))
+            _assert_identical(result, reference_evaluate(scenario))
 
     def test_degenerate_single_point_batch(self):
         scenario = GCSParameters.small_test()
         (result,) = evaluate_batch([scenario], include_variance=True)
+        reference = reference_evaluate(scenario, include_variance=True)
+        _assert_identical(result, reference, variance=True)
+        # evaluate() is the same pipeline with one point.
         _assert_identical(
-            result, evaluate(scenario, include_variance=True), variance=True
+            evaluate(scenario, include_variance=True), reference, variance=True
         )
 
     def test_empty_batch(self):
@@ -312,7 +337,7 @@ class TestEvaluateBatchBitIdentical:
         batch = evaluate_batch(scenarios)
         for scenario, result in zip(scenarios, batch):
             assert result.params == scenario
-            _assert_identical(result, evaluate(scenario))
+            _assert_identical(result, reference_evaluate(scenario))
 
     def test_network_tuple_scenarios(self):
         params = GCSParameters.small_test()
@@ -332,7 +357,7 @@ class TestEvaluateBatchBitIdentical:
         good = GCSParameters.small_test()
         outcomes = evaluate_batch_outcomes([good, "not-a-scenario"])
         assert outcomes[0][1] is None
-        _assert_identical(outcomes[0][0], evaluate(good))
+        _assert_identical(outcomes[0][0], reference_evaluate(good))
         assert outcomes[1][0] is None
         assert isinstance(outcomes[1][1], ParameterError)
         with pytest.raises(ParameterError, match="batch scenario"):
@@ -341,6 +366,7 @@ class TestEvaluateBatchBitIdentical:
     def test_solver_tag(self):
         (result,) = evaluate_batch([GCSParameters.small_test()])
         assert result.solver == "acyclic-batch"
+        assert evaluate(GCSParameters.small_test()).solver == "acyclic-batch"
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +429,13 @@ class TestVectorBackend:
         serial = SerialBackend().run(evaluate_request, requests)
         vector = VectorBackend().run(evaluate_request, requests)
         assert [o.index for o in vector] == [o.index for o in serial]
-        for vec, ser in zip(vector, serial):
+        for request, vec, ser in zip(requests, vector, serial):
             assert vec.ok and ser.ok
-            _assert_identical(vec.value, ser.value, variance=True)
+            reference = reference_evaluate(
+                request.params, include_variance=request.include_variance
+            )
+            _assert_identical(vec.value, reference, variance=True)
+            _assert_identical(ser.value, reference, variance=True)
 
     def test_generic_callable_falls_back(self):
         outcomes = VectorBackend().run(_square, [1, 2, 3])
@@ -425,7 +455,7 @@ class TestVectorBackend:
         outcomes = VectorBackend().run(evaluate_request, [good, bad])
         assert outcomes[0].ok
         _assert_identical(
-            outcomes[0].value, evaluate(GCSParameters.small_test())
+            outcomes[0].value, reference_evaluate(GCSParameters.small_test())
         )
         assert not outcomes[1].ok
         assert outcomes[1].error_type == "ParameterError"
@@ -442,7 +472,7 @@ class TestVectorBackend:
         assert batch.report.n_unique == 4
         assert batch.report.n_evaluated == 4
         for request, result in zip(requests, batch.results[:4]):
-            _assert_identical(result, evaluate(request.params))
+            _assert_identical(result, reference_evaluate(request.params))
 
 
 class TestCacheParityVectorVsWorkers:

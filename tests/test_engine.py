@@ -17,8 +17,10 @@ from repro.engine import (
     ProcessPoolBackend,
     ResultCache,
     SerialBackend,
+    SurvivabilityRequest,
     SweepJob,
     ThreadPoolBackend,
+    VectorBackend,
     available_cpus,
     load_campaign,
     make_backend,
@@ -29,7 +31,7 @@ from repro.engine import (
     run_tids_sweep,
     scenario_fingerprint,
 )
-from repro.engine.batch import evaluate_request
+from repro.engine.batch import evaluate_request, evaluate_survivability_request
 from repro.errors import ExperimentError, ParameterError
 from repro.params import GCSParameters
 
@@ -461,6 +463,59 @@ class TestExecutors:
 
     def test_available_cpus_positive(self):
         assert available_cpus() >= 1
+
+
+def _value_bytes(outcomes) -> list[str]:
+    """Each result's ``to_dict()`` minus its timing fields, as JSON."""
+    records = []
+    for outcome in outcomes:
+        assert outcome.ok, outcome.error
+        record = outcome.value.to_dict()
+        del record["build_seconds"], record["solve_seconds"]
+        records.append(json.dumps(record, sort_keys=True))
+    return records
+
+
+class TestBackendsReturnSameBytes:
+    """Serial, process-pool and vector backends run one solver pipeline,
+    so a request's result does not depend on the backend at all."""
+
+    BACKENDS = {
+        "serial": SerialBackend,
+        "process": lambda: ProcessPoolBackend(2),
+        "vector": VectorBackend,
+    }
+
+    def _run_everywhere(self, fn, requests) -> dict[str, list[str]]:
+        return {
+            name: _value_bytes(make().run(fn, requests))
+            for name, make in self.BACKENDS.items()
+        }
+
+    def test_model_requests(self):
+        base = GCSParameters.small_test()
+        requests = [
+            EvalRequest(params=base.replacing(detection_interval_s=tids))
+            for tids in GRID
+        ] + [
+            EvalRequest(params=base, include_variance=True),
+            EvalRequest(params=base.replacing(num_voters=5), include_breakdown=True),
+            EvalRequest(params=GCSParameters.paper_defaults(num_nodes=16)),
+        ]
+        runs = self._run_everywhere(evaluate_request, requests)
+        assert runs["serial"] == runs["process"] == runs["vector"]
+
+    def test_survivability_requests(self):
+        base = GCSParameters.small_test()
+        times = (0.0, 0.5, 2.0, 5.0)
+        requests = [
+            SurvivabilityRequest(
+                params=base.replacing(detection_interval_s=tids), times_s=times
+            )
+            for tids in GRID
+        ] + [SurvivabilityRequest(params=base, times_s=(1.0, 3.0))]
+        runs = self._run_everywhere(evaluate_survivability_request, requests)
+        assert runs["serial"] == runs["process"] == runs["vector"]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from repro.core.metrics import (
 )
 from repro.params import GCSParameters
 
+from lattice_reference import reference_evaluate
+
 GOLDEN_PATH = Path(__file__).parent / "golden" / "paper_points.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 RTOL = float(GOLDEN["rtol"])
@@ -34,11 +36,23 @@ def _params(overrides: dict) -> GCSParameters:
     return GCSParameters.paper_defaults(**overrides)
 
 
+def _values(result) -> dict:
+    """``to_dict()`` minus the fields allowed to differ between paths."""
+    record = result.to_dict()
+    for key in ("solver", "build_seconds", "solve_seconds"):
+        del record[key]
+    return record
+
+
 @pytest.mark.parametrize(
     "point", GOLDEN["points"], ids=[p["id"] for p in GOLDEN["points"]]
 )
 def test_paper_operating_point(point):
-    result = evaluate(_params(point["overrides"]))
+    params = _params(point["overrides"])
+    result = reference_evaluate(params)
+    # evaluate() (the batched pipeline with one point) must be exactly
+    # the independent per-point reference, so both meet the pins.
+    assert _values(evaluate(params)) == _values(result)
     expected = point["expected"]
     assert result.mttsf_s == pytest.approx(expected["mttsf_s"], rel=RTOL)
     assert result.ctotal_hop_bits_s == pytest.approx(
@@ -55,8 +69,9 @@ def test_paper_operating_point(point):
 
 def test_batched_solver_hits_the_same_pins():
     """The batched path must satisfy the same golden pins (it is
-    bit-identical to the per-point path, so this can only fail if both
-    drift together — exactly the regression this file exists for)."""
+    bit-identical to the per-point reference, so this can only fail if
+    both drift together — exactly the regression this file exists
+    for)."""
     scenarios = [_params(p["overrides"]) for p in GOLDEN["points"]]
     for point, result in zip(GOLDEN["points"], evaluate_batch(scenarios)):
         assert result.mttsf_s == pytest.approx(

@@ -123,32 +123,35 @@ def _dag_problem(seed=7, n=35, P=4, k=2):
 
 class TestResolveKernel:
     def test_choices_are_exported(self):
-        assert KERNEL_CHOICES == ("numba", "fused", "numpy")
+        assert KERNEL_CHOICES == ("numba", "fused")
         assert TRANSIENT_BACKEND_CHOICES == ("uniformization", "expm")
 
     def test_default_is_fused(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        monkeypatch.delenv("REPRO_FUSED_GATHER", raising=False)
         assert resolve_kernel() == "fused"
-
-    def test_legacy_fused_gather_env_still_selects_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "0")
-        assert resolve_kernel() == "numpy"
-
-    def test_env_beats_legacy_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "fused")
-        monkeypatch.setenv("REPRO_FUSED_GATHER", "0")
-        assert resolve_kernel() == "fused"
-
-    def test_fused_bool_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert resolve_kernel(fused=True) == "fused"
-        assert resolve_kernel(fused=False) == "numpy"
 
     def test_explicit_kernel_beats_everything(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "numba")
+        assert resolve_kernel("fused") == "fused"
+
+    def test_retired_numpy_tier_env_warns_once_and_is_ignored(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(kernels_module, "_WARNED_ENV", False)
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        assert resolve_kernel("fused", fused=False) == "fused"
+        with caplog.at_level("WARNING", logger="repro.ctmc.kernels"):
+            assert resolve_kernel() == "fused"
+            assert resolve_kernel() == "fused"
+        warnings = [r for r in caplog.records if "REPRO_KERNEL" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "'numpy'" in warnings[0].getMessage()
+
+    def test_retired_numpy_tier_explicit_raises(self):
+        with pytest.raises(SolverError, match="numpy"):
+            resolve_kernel("numpy")
+        shared, values, numer, boundary = _dag_problem()
+        with pytest.raises(SolverError, match="kernel"):
+            solve_dag_batch(shared, values, numer, boundary, kernel="numpy")
 
     def test_unknown_explicit_kernel_raises(self):
         with pytest.raises(SolverError, match="warp"):
@@ -159,7 +162,6 @@ class TestResolveKernel:
 
     def test_unknown_env_kernel_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "warp")
-        monkeypatch.delenv("REPRO_FUSED_GATHER", raising=False)
         assert resolve_kernel() == "fused"
 
     def test_numba_request_without_numba_degrades_counted(self, monkeypatch):
@@ -460,12 +462,12 @@ class TestManifestKernelFlags:
     def test_kernel_flags_echo_env(self, monkeypatch):
         from repro.obs.manifest import kernel_flags
 
-        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        monkeypatch.setenv("REPRO_KERNEL", "fused")
         monkeypatch.setenv("REPRO_TRANSIENT_BACKEND", "expm")
         flags = kernel_flags()
-        assert flags["kernel"] == "numpy"
+        assert flags["kernel"] == "fused"
         assert flags["transient_backend"] == "expm"
-        assert flags["env"]["REPRO_KERNEL"] == "numpy"
+        assert flags["env"]["REPRO_KERNEL"] == "fused"
         assert flags["env"]["REPRO_TRANSIENT_BACKEND"] == "expm"
 
     def test_numba_request_reflects_availability(self, monkeypatch):
@@ -474,6 +476,17 @@ class TestManifestKernelFlags:
         monkeypatch.setenv("REPRO_KERNEL", "numba")
         expected = "numba" if numba_available() else "fused"
         assert kernel_flags()["kernel"] == expected
+
+    @pytest.mark.parametrize("env", [None, "fused", "numba", "numpy", "junk"])
+    def test_manifest_resolver_matches_resolve_kernel(self, monkeypatch, env):
+        """The manifest's import-light copy of the resolver cannot drift."""
+        from repro.obs.manifest import kernel_flags
+
+        if env is None:
+            monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_KERNEL", env)
+        assert kernel_flags()["kernel"] == resolve_kernel()
 
 
 # ---------------------------------------------------------------------------

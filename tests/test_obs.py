@@ -338,10 +338,10 @@ class TestManifest:
         assert payload["schema_version"] == MANIFEST_SCHEMA_VERSION == 1
 
     def test_kernel_flags_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED_GATHER", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         monkeypatch.setenv("REPRO_STRUCTURE_SHARE", "off")
         flags = kernel_flags()
-        assert flags["fused_gather"] is True
+        assert flags["kernel"] == "fused"
         assert flags["structure_share"] is False
         assert flags["env"]["REPRO_STRUCTURE_SHARE"] == "off"
 
