@@ -5,8 +5,8 @@ Runs the fig2–fig5 paper campaign (quick ``N = 40`` grids by default,
 unique after dedup) through the engine in up to three configurations:
 
 * **serial backend** — every unique point solved as its own batch of
-  one (`BatchRunner()`; skipped in ``--full`` mode unless ``--serial``
-  is passed);
+  one (``SerialBackend()``; skipped in ``--full`` mode unless
+  ``--serial`` is passed);
 * **vector backend, fused kernel** (``REPRO_KERNEL=fused``) — one
   cached lattice structure, stacked rate fills, one shared sweep;
 * **vector backend, numba kernel** (``REPRO_KERNEL=numba``) — the
@@ -48,7 +48,7 @@ from pathlib import Path
 
 from repro.core.fastpath import clear_structure_cache
 from repro.ctmc.kernels import numba_available
-from repro.engine import BatchRunner, available_cpus, make_backend
+from repro.engine import BatchRunner, SerialBackend, available_cpus, make_backend
 from repro.engine.jobs import paper_campaign
 from repro.voting.majority import clear_table_cache
 
@@ -108,7 +108,7 @@ def _run_all(*, full: bool = False, include_serial: bool | None = None):
         # Cold serial run: drop every memo so it pays the full cost
         # exactly once, like a fresh process.
         _cold_caches()
-        serial = BatchRunner()
+        serial = BatchRunner(backend=SerialBackend())
         t0 = time.perf_counter()
         outcome_serial = campaign.run(serial)
         serial_s = time.perf_counter() - t0

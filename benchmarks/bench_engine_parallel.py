@@ -3,13 +3,14 @@
 Three measurements on the quick paper-figure campaign (fig2–fig5 grids,
 N = 40):
 
-* **serial cold** — the seed path's cost: every unique point evaluated
-  in-process, no cache;
-* **parallel cold** — the same points through a process pool; asserts a
-  wall-clock win over serial when the host exposes more than one CPU
-  (on a single-core host the win is physically impossible for
-  CPU-bound solves, so the benchmark only bounds the pool's overhead
-  there and says so);
+* **serial cold** — the per-point baseline: every unique point
+  evaluated in-process as its own batch of one (``SerialBackend()``),
+  no cache;
+* **parallel cold** — the same points through ``--jobs N`` (the
+  vector+procs hybrid: batched chunks over ``N`` worker processes);
+  asserts a wall-clock win over serial when the host exposes more than
+  one CPU (on a single-core host the pool cannot add parallelism, so
+  the benchmark only bounds its overhead there and says so);
 * **warm cache** — an immediate re-run against the populated cache;
   asserts ≥ 90% cache hits and asserts all three produce identical
   numbers.
@@ -29,7 +30,13 @@ from __future__ import annotations
 import os
 import time
 
-from repro.engine import BatchRunner, ResultCache, available_cpus, make_backend
+from repro.engine import (
+    BatchRunner,
+    ResultCache,
+    SerialBackend,
+    available_cpus,
+    make_backend,
+)
 from repro.engine.jobs import paper_campaign
 
 
@@ -51,7 +58,7 @@ def _outcome_values(outcome):
 def _run_all(tmp_cache_dir=None):
     campaign = paper_campaign(quick=True)
 
-    serial = BatchRunner()
+    serial = BatchRunner(backend=SerialBackend())
     t0 = time.perf_counter()
     outcome_serial = campaign.run(serial)
     serial_s = time.perf_counter() - t0

@@ -30,7 +30,7 @@ def main() -> None:
         "--full", action="store_true", help="paper-scale N=100 (slower)"
     )
     parser.add_argument(
-        "--jobs", default=None, help="engine workers: N, 'auto', 'thread[:N]' or 'vector'"
+        "--jobs", default=None, help="engine workers: N, 'auto' or 'vector[:N]'"
     )
     parser.add_argument(
         "--cache-dir", default=None, help="persistent result cache directory"

@@ -147,12 +147,12 @@ def grid_sweep(
 
     ``backend`` — any :class:`repro.engine.executor.ExecutionBackend`,
     or a :func:`~repro.engine.executor.make_backend` spec (``4``,
-    ``"auto"``, ``"thread:2"``, ``"vector"``); points are dispatched
-    through it (for a process pool, ``evaluate`` must be picklable)
-    and always come back in grid order. An arbitrary callable cannot
-    be vectorised, so a ``"vector"`` backend here runs the points
-    through its serial fallback — use :func:`model_grid_sweep` for
-    sweeps that should hit the batched lattice solver.
+    ``"auto"``, ``"vector"``); points are dispatched through it (with
+    ``N > 1`` workers, ``evaluate`` must be picklable) and always come
+    back in grid order. An arbitrary callable cannot be vectorised, so
+    the backend runs the points through its per-point fallback (serial,
+    or a process pool of ``N`` workers) — use :func:`model_grid_sweep`
+    for sweeps that should hit the batched lattice solver.
     ``capture_errors`` — record per-point failures on the returned
     :class:`SweepPoint` instead of raising; implied behaviour of every
     engine backend, re-raised here unless requested.
@@ -200,13 +200,14 @@ def model_grid_sweep(
     ``base`` overrides — that path delegates to
     :class:`repro.engine.jobs.SweepJob`, so grid-to-request semantics
     have one definition). Each point becomes an
-    :class:`~repro.engine.batch.EvalRequest`, so every backend works
-    and ``backend="vector"`` solves the whole grid with one
-    structure-sharing batched sweep. Returned ``SweepPoint.value``s
-    are :class:`~repro.core.results.GCSResult` objects.
+    :class:`~repro.engine.batch.EvalRequest`, so the whole grid is
+    solved with one structure-sharing batched sweep (``backend=N``
+    fans chunks of it over ``N`` pool workers). Returned
+    ``SweepPoint.value``s are :class:`~repro.core.results.GCSResult`
+    objects.
     """
     from ..engine.batch import EvalRequest, evaluate_request
-    from ..engine.executor import SerialBackend
+    from ..engine.executor import VectorBackend
     from ..engine.jobs import SweepJob
 
     if params is None:
@@ -225,7 +226,7 @@ def model_grid_sweep(
             EvalRequest(params=params.replacing(**assignment), method=method)
             for assignment in assignments
         ]
-    resolved = _resolve_backend(backend) or SerialBackend()
+    resolved = _resolve_backend(backend) or VectorBackend()
     outcomes = resolved.run(evaluate_request, requests)
     return _points_from_outcomes(
         assignments, outcomes, capture_errors=capture_errors, progress=progress
@@ -247,14 +248,14 @@ def survivability_grid_sweep(
 
     The transient counterpart of :func:`model_grid_sweep`: every grid
     point becomes a :class:`~repro.engine.batch.SurvivabilityRequest`
-    over the shared mission-time grid ``times``, so
-    ``backend="vector"`` solves the whole sweep with one multi-point
-    uniformization pass (and ``backend="vector:N"`` fans chunks over
-    ``N`` pool workers). Returned ``SweepPoint.value``s are
+    over the shared mission-time grid ``times``, so the whole sweep is
+    solved with one multi-point uniformization pass (and ``backend=N``
+    fans chunks over ``N`` pool workers). Returned
+    ``SweepPoint.value``s are
     :class:`~repro.core.results.SurvivabilityResult` objects.
     """
     from ..engine.batch import SurvivabilityRequest, evaluate_survivability_request
-    from ..engine.executor import SerialBackend
+    from ..engine.executor import VectorBackend
     from ..engine.jobs import SurvivabilitySweep
 
     times = tuple(float(t) for t in times)
@@ -277,7 +278,7 @@ def survivability_grid_sweep(
             )
             for assignment in assignments
         ]
-    resolved = _resolve_backend(backend) or SerialBackend()
+    resolved = _resolve_backend(backend) or VectorBackend()
     outcomes = resolved.run(evaluate_survivability_request, requests)
     return _points_from_outcomes(
         assignments, outcomes, capture_errors=capture_errors, progress=progress

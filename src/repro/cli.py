@@ -28,10 +28,10 @@ Subcommands:
   workers may join, and the server survives them dying mid-chunk.
 
 ``run``, ``paper``, ``sweep`` and ``survivability`` all accept
-``--jobs N|auto|thread[:N]|vector[:N]|remote[:URL]`` (evaluation
-workers; 0/1 = serial; ``vector`` = the structure-sharing batched
-solver; ``vector:N`` = the vector+procs hybrid fanning batch chunks
-over ``N`` pool workers; ``remote`` = submit to a sweep service),
+``--jobs N|auto|vector[:N]|remote[:URL]`` (every local spec runs the
+structure-sharing batched solver; ``N``/``vector:N`` fan batch chunks
+over ``N`` worker processes, ``auto`` one per usable CPU, 0/1 and
+``vector`` solve in-process; ``remote`` = submit to a sweep service),
 ``--cache-dir DIR`` (persistent content-addressed
 result cache, safe to share between concurrent processes),
 ``--cache-cap-mb MB`` (LRU disk eviction cap), ``--structure-cache
@@ -100,13 +100,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "evaluation workers: N (process pool), 'auto' (one per usable "
-            "CPU), 'thread[:N]' (thread pool), 'vector' (structure-"
-            "sharing batched solver, solves whole sweeps at once), "
-            "'vector:N' (vector+procs hybrid: batched chunks fanned over "
-            "N pool workers), or 'remote[:URL]' (submit to a sweep "
-            "service started with 'serve'; URL defaults to "
-            "$REPRO_SERVICE_URL); 0/1 = serial"
+            "evaluation workers; every local spec runs the structure-"
+            "sharing batched solver: N or 'vector:N' (batched chunks "
+            "fanned over N worker processes), 'auto' (one per usable "
+            "CPU), 0/1/'vector' (in-process), or 'remote[:URL]' (submit "
+            "to a sweep service started with 'serve'; URL defaults to "
+            "$REPRO_SERVICE_URL)"
         ),
     )
     parser.add_argument(
@@ -595,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "local backend leased chunks are evaluated on (same grammar "
-            "as the engine commands, except 'remote'); default serial"
+            "as the engine commands, except 'remote'); default: the "
+            "in-process batched solver"
         ),
     )
     p_work.add_argument(

@@ -268,9 +268,6 @@ def _build_structure(n: int) -> LatticeStructure:
         *dst.values(),
         *slots.values(),
         dag.slot_rows,
-        dag.ell_cols,
-        dag.ell_slots,
-        dag.ell_pad,
         dag.lvl_rows,
         dag.lvl_row_bounds,
         dag.lvl_ell_slots,

@@ -16,13 +16,13 @@ cost within the system's performance requirement. This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from ..errors import ParameterError
 from ..manet.network import NetworkModel
 from ..params import GCSParameters
 from ..validation import require_sorted_unique
-from .metrics import GCSEvaluation, evaluate_batch, resolve_network
+from .metrics import evaluate_batch, resolve_network
 from .results import GCSResult
 
 __all__ = [
@@ -98,19 +98,6 @@ class OptimizationResult:
         return "\n".join(lines)
 
 
-def _evaluate_point(
-    params: GCSParameters,
-    tids: float,
-    network: NetworkModel,
-    method: str,
-) -> TradeoffPoint:
-    """Worker for one sweep point (module-level: multiprocessing needs
-    a picklable callable)."""
-    p = params.replacing(detection_interval_s=float(tids))
-    engine = GCSEvaluation(p, network)
-    return TradeoffPoint(tids_s=float(tids), result=engine.run(method=method))
-
-
 def tradeoff_curve(
     params: GCSParameters,
     tids_grid_s: Sequence[float],
@@ -118,73 +105,29 @@ def tradeoff_curve(
     network: Optional[NetworkModel] = None,
     method: str = "fast",
     progress: Optional[Callable[[TradeoffPoint], None]] = None,
-    workers: Union[int, str, None] = None,
 ) -> list[TradeoffPoint]:
     """Evaluate the scenario at every ``TIDS`` in the grid.
 
     The network/mobility stage is resolved once and shared across the
-    sweep (the detection interval does not affect mobility).
-
-    ``workers`` > 1 evaluates grid points in parallel with a process
-    pool — sweep points are embarrassingly parallel and each solve is
-    single-threaded, so the speedup is near-linear until memory
-    bandwidth saturates. Results are returned in grid order either way;
-    ``progress`` fires in completion order when parallel.
-
-    ``workers="vector"`` solves the whole grid in one structure-sharing
-    batched sweep (:func:`repro.core.metrics.evaluate_batch`) — no
-    processes, bit-identical results, and typically faster than a
-    process pool because the win is algorithmic, not parallel.
+    sweep (the detection interval does not affect mobility), and the
+    whole grid is solved in one structure-sharing batched sweep
+    (:func:`repro.core.metrics.evaluate_batch`). ``progress`` fires
+    once per point, in grid order, after the batch. For parallel or
+    cached sweeps use the engine:
+    :func:`repro.engine.batch.run_tids_sweep`.
     """
     grid = require_sorted_unique("tids_grid_s", tids_grid_s)
     net = resolve_network(params, network)
-
-    if isinstance(workers, str):
-        if workers != "vector":
-            raise ParameterError(
-                f"workers must be an int or 'vector', got {workers!r}"
-            )
-        results = evaluate_batch(
-            [
-                (params.replacing(detection_interval_s=float(tids)), net)
-                for tids in grid
-            ],
-            method=method,
-        )
-        points = [
-            TradeoffPoint(tids_s=float(tids), result=result)
-            for tids, result in zip(grid, results)
-        ]
-        if progress is not None:
-            for point in points:
-                progress(point)
-        return points
-
-    if workers is not None and workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
-    if workers and workers > 1 and len(grid) > 1:
-        import concurrent.futures
-
-        points_by_tids: dict[float, TradeoffPoint] = {}
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(grid))
-        ) as pool:
-            futures = {
-                pool.submit(_evaluate_point, params, tids, net, method): tids
-                for tids in grid
-            }
-            for future in concurrent.futures.as_completed(futures):
-                point = future.result()
-                points_by_tids[point.tids_s] = point
-                if progress is not None:
-                    progress(point)
-        return [points_by_tids[float(t)] for t in grid]
-
-    points: list[TradeoffPoint] = []
-    for tids in grid:
-        point = _evaluate_point(params, tids, net, method)
-        points.append(point)
-        if progress is not None:
+    results = evaluate_batch(
+        [(params.replacing(detection_interval_s=float(tids)), net) for tids in grid],
+        method=method,
+    )
+    points = [
+        TradeoffPoint(tids_s=float(tids), result=result)
+        for tids, result in zip(grid, results)
+    ]
+    if progress is not None:
+        for point in points:
             progress(point)
     return points
 
@@ -246,7 +189,6 @@ def optimize_tids(
     cost_ceiling_hop_bits_s: Optional[float] = None,
     network: Optional[NetworkModel] = None,
     method: str = "fast",
-    workers: Union[int, str, None] = None,
 ) -> OptimizationResult:
     """Pick the best ``TIDS`` on a grid.
 
@@ -256,17 +198,11 @@ def optimize_tids(
       ``cost_ceiling_hop_bits_s``, the paper's "maximise MTTSF while
       satisfying imposed performance requirements");
     * ``"min-ctotal"`` — minimise Ĉtotal (Figure 3/5 reading).
-
-    ``workers`` follows :func:`tradeoff_curve` — an int fans grid
-    points over a process pool, ``"vector"`` solves them in one
-    structure-sharing batched sweep.
     """
     # Validate before evaluating so bad objectives fail fast.
     _validate_objective(objective, cost_ceiling_hop_bits_s)
 
-    curve = tradeoff_curve(
-        params, tids_grid_s, network=network, method=method, workers=workers
-    )
+    curve = tradeoff_curve(params, tids_grid_s, network=network, method=method)
     return select_optimum(
         curve,
         objective=objective,

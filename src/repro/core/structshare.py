@@ -74,7 +74,7 @@ __all__ = [
 #: Bump whenever the array layout of :class:`LatticeStructure` /
 #: :class:`BatchDagStructure` changes; stale cache files and foreign
 #: segments then simply miss instead of deserialising garbage.
-STRUCT_SCHEMA_VERSION = 1
+STRUCT_SCHEMA_VERSION = 2
 
 _SHM_ALIGN = 16
 
@@ -128,9 +128,6 @@ def structure_to_arrays(structure: LatticeStructure) -> dict[str, np.ndarray]:
         "indices": structure.indices,
         "dag_slot_rows": dag.slot_rows,
         "dag_levels": dag.structure.levels,
-        "dag_ell_cols": dag.ell_cols,
-        "dag_ell_slots": dag.ell_slots,
-        "dag_ell_pad": dag.ell_pad,
         "dag_lvl_rows": dag.lvl_rows,
         "dag_lvl_row_bounds": dag.lvl_row_bounds,
         "dag_lvl_ell_slots": dag.lvl_ell_slots,
@@ -176,9 +173,6 @@ def structure_from_arrays(
         indices=arr("indices"),
         slot_rows=arr("dag_slot_rows"),
         structure=DagStructure(levels=arr("dag_levels"), level_states=level_states),
-        ell_cols=arr("dag_ell_cols"),
-        ell_slots=arr("dag_ell_slots"),
-        ell_pad=arr("dag_ell_pad"),
         width=width,
         lvl_rows=lvl_rows,
         lvl_row_bounds=bounds,

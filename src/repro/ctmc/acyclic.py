@@ -170,14 +170,14 @@ class BatchDagStructure:
 
     * canonical CSR (``indptr``/``indices``, columns sorted within each
       row) — the shape rate fills scatter into;
-    * padded ELL (``ell_cols``/``ell_slots``/``ell_pad``, one fixed-width
-      row per state, real slots first in CSR order, pads after) — the
-      shape the vectorised backward sweep gathers from. Keeping the
-      real slots in CSR order makes the batched per-row accumulation
-      run in exactly the sequence scipy's CSR matvec uses, which is
-      what makes the batched solve *bit-identical* to the per-point
-      one (trailing ``+ 0.0`` pads cannot perturb an IEEE sum of
-      finite non-negative terms).
+    * padded ELL in level order (``lvl_ell_cols``/``lvl_ell_slots``,
+      one fixed-width row per state, real slots first in CSR order,
+      pads after) — the shape the vectorised backward sweep gathers
+      from. Keeping the real slots in CSR order makes the batched
+      per-row accumulation run in exactly the sequence scipy's CSR
+      matvec uses, which is what makes the batched solve
+      *bit-identical* to the per-point one (trailing ``+ 0.0`` pads
+      cannot perturb an IEEE sum of finite non-negative terms).
 
     The level schedule is computed on the pattern alone. Any per-point
     pattern is a subset (rates may evaluate to zero), and removing
@@ -192,17 +192,15 @@ class BatchDagStructure:
     #: Row index of every CSR slot (``nnz``-long, non-decreasing).
     slot_rows: np.ndarray
     structure: DagStructure
-    ell_cols: np.ndarray
-    ell_slots: np.ndarray
-    ell_pad: np.ndarray
     width: int
-    #: Fused-gather plan: the ELL rows permuted into level order so the
+    #: Fused-gather plan: the ELL rows are stored in level order so the
     #: backward sweep slices *contiguous* per-level views instead of
     #: fancy-gathering rows per level. ``lvl_rows`` is the state order
     #: (``concatenate(level_states)``), ``lvl_row_bounds`` the level
     #: boundaries into it, and ``lvl_ell_slots`` points pad entries at
-    #: the sentinel slot ``nnz`` so one gather from the zero-extended
-    #: value array replaces the gather + ``np.where`` pad pass.
+    #: the sentinel slot ``nnz`` (pad columns read state 0) so one
+    #: gather from the zero-extended value array yields exact ``0.0``
+    #: pads with no masking pass.
     lvl_rows: np.ndarray
     lvl_row_bounds: np.ndarray
     lvl_ell_slots: np.ndarray
@@ -236,14 +234,6 @@ def batch_dag_structure(
     deg = np.diff(indptr)
     width = int(deg.max()) if n else 0
     rows_of_slot = np.repeat(np.arange(n, dtype=np.int64), deg)
-    pos_in_row = np.arange(nnz, dtype=np.int64) - np.repeat(indptr[:-1], deg)
-
-    ell_slots = np.zeros((n, max(width, 1)), dtype=np.int64)
-    ell_pad = np.ones((n, max(width, 1)), dtype=bool)
-    ell_cols = np.zeros((n, max(width, 1)), dtype=np.int64)
-    ell_slots[rows_of_slot, pos_in_row] = np.arange(nnz, dtype=np.int64)
-    ell_pad[rows_of_slot, pos_in_row] = False
-    ell_cols[rows_of_slot, pos_in_row] = indices
 
     # Predecessor lists (CSC view of the pattern) for the level sweep.
     order = np.argsort(indices, kind="stable")
@@ -284,21 +274,22 @@ def batch_dag_structure(
     boundaries = np.searchsorted(sorted_levels, np.arange(depth + 1))
     level_states = [order_l[boundaries[L] : boundaries[L + 1]] for L in range(depth)]
 
-    # Fused-gather plan: ELL rows in level order, pads pointing at the
-    # sentinel slot ``nnz`` (one gather from a zero-extended value
-    # array yields exact ``0.0`` pads with no masking pass).
-    lvl_ell_slots = ell_slots[order_l].copy()
-    lvl_ell_slots[ell_pad[order_l]] = nnz
-    lvl_ell_cols = ell_cols[order_l]
+    # Fused-gather plan: ELL rows in level order, real slots first in
+    # CSR order, pads pointing at the sentinel slot ``nnz``.
+    rank = np.empty(n, dtype=np.int64)
+    rank[order_l] = np.arange(n, dtype=np.int64)
+    ell_rows = rank[rows_of_slot]
+    pos_in_row = np.arange(nnz, dtype=np.int64) - np.repeat(indptr[:-1], deg)
+    lvl_ell_slots = np.full((n, max(width, 1)), nnz, dtype=np.int64)
+    lvl_ell_cols = np.zeros((n, max(width, 1)), dtype=np.int64)
+    lvl_ell_slots[ell_rows, pos_in_row] = np.arange(nnz, dtype=np.int64)
+    lvl_ell_cols[ell_rows, pos_in_row] = indices
 
     return BatchDagStructure(
         indptr=indptr,
         indices=indices,
         slot_rows=rows_of_slot,
         structure=DagStructure(levels=levels, level_states=level_states),
-        ell_cols=ell_cols,
-        ell_slots=ell_slots,
-        ell_pad=ell_pad,
         width=width,
         lvl_rows=order_l,
         lvl_row_bounds=boundaries,

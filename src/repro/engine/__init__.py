@@ -19,9 +19,9 @@ Modules:
 ``locks``          advisory file locking (fcntl/msvcrt) for shared dirs
 ``cache``          persistent disk store (locked writes, LRU eviction)
                    + in-memory LRU, hit/miss/eviction stats
-``executor``       serial / process-pool / thread-pool / vectorised
-                   backends with error capture; ``make_backend("auto")``
-                   selection
+``executor``       vector backend (batched solvers, optional process
+                   fan-out) over serial / process-pool fallbacks, with
+                   error capture; ``make_backend`` maps ``--jobs``
 ``batch``          dedup → cache → evaluate → store composition
 ``jobs``           declarative job specs and multi-figure campaigns
 =================  ====================================================
@@ -65,7 +65,6 @@ from .executor import (
     ProcessPoolBackend,
     SerialBackend,
     StructureShareConfig,
-    ThreadPoolBackend,
     VectorBackend,
     available_cpus,
     make_backend,
@@ -97,7 +96,6 @@ __all__ = [
     "PointOutcome",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ThreadPoolBackend",
     "VectorBackend",
     "StructureShareConfig",
     "available_cpus",

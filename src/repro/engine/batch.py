@@ -37,8 +37,8 @@ from ..validation import require_sorted_unique
 from .cache import CacheableResult, ResultCache
 from .executor import (
     ExecutionBackend,
-    SerialBackend,
     StructureShareConfig,
+    VectorBackend,
     make_backend,
 )
 from .keys import params_from_dict, scenario_fingerprint
@@ -438,7 +438,7 @@ class BatchRunner:
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache()
-        self.backend = backend if backend is not None else SerialBackend()
+        self.backend = backend if backend is not None else VectorBackend()
 
     # ------------------------------------------------------------------
     def run(
@@ -587,7 +587,8 @@ def make_runner(
     """One-call runner factory shared by the CLI and the examples.
 
     ``jobs`` follows the :func:`~repro.engine.executor.make_backend`
-    grammar (``N``, ``"auto"``, ``"thread[:N]"``; ``None`` = serial).
+    grammar (``N``, ``"auto"``, ``"vector[:N]"``, ``"remote[:URL]"``;
+    ``None`` = the in-process vector backend).
     ``cache_dir=None`` gives a memory-only cache; ``cache_cap_mb``
     bounds a persistent one (LRU-by-mtime disk eviction).
 

@@ -1,42 +1,37 @@
 """Pluggable execution backends for batch evaluation.
 
-Four backends behind one ``run(fn, items)`` contract:
+Every engine request runs through :class:`VectorBackend`: model
+evaluations and survivability sweeps are recognised and solved
+*simultaneously* by the structure-sharing batched solvers
+(:func:`repro.core.metrics.evaluate_batch_outcomes` /
+:func:`repro.core.metrics.evaluate_survivability_batch_outcomes`), and
+with ``chunk_workers`` set (``--jobs N`` / ``--jobs vector:N``)
+independent chunks additionally fan out over a process pool (the
+vector+procs hybrid). Two per-point backends share its ``run(fn,
+items)`` contract and serve as its fallbacks for work the batched
+solvers cannot take — opaque callables such as the ``val-sim``
+replications:
 
-* :class:`SerialBackend` — in-process loop, zero overhead, the
-  reference semantics;
+* :class:`SerialBackend` — in-process loop, the reference semantics;
 * :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool
-  with chunked dispatch (one IPC round-trip per chunk, not per point);
-* :class:`ThreadPoolBackend` — ``concurrent.futures`` thread pool for
-  workloads that release the GIL (the scipy sparse solves at the heart
-  of an evaluation spend their time in native code); zero pickling, so
-  it also accepts unpicklable callables and items.
-* :class:`VectorBackend` — model-evaluation and survivability batches
-  are recognised and solved *simultaneously* by the structure-sharing
-  batched solvers (:func:`repro.core.metrics.evaluate_batch_outcomes`
-  / :func:`repro.core.metrics.evaluate_survivability_batch_outcomes`);
-  anything else falls back to an inner backend (serial by default).
-  The speedup is algorithmic, so it stacks with single-core machines —
-  and with ``chunk_workers`` set (``--jobs vector:N``) independent
-  chunks additionally fan out over a process pool (the vector+procs
-  hybrid), stacking multi-core scaling on top.
+  with chunked dispatch (one IPC round-trip per chunk, not per point).
 
 All return :class:`PointOutcome` records in **input order** regardless
 of completion order, and all capture per-point exceptions into the
 outcome instead of aborting the whole batch — a sweep with one
 pathological grid point still yields the other N−1 results. The
 backends are observationally equivalent: same inputs, same outcomes,
-same ordering (asserted by the test suite; the vector backend is
-additionally *bit-identical* to the others on model batches).
+same ordering, and the same bytes on engine requests (asserted by the
+test suite).
 
-A fifth backend lives in :mod:`repro.service`:
+A further backend lives in :mod:`repro.service`:
 :class:`~repro.service.client.RemoteBackend` (``--jobs remote[:URL]``)
 submits engine batches to a sweep-service job server over HTTP and
 streams the outcomes back — same contract, same ordering, evaluation
 on another process or host.
 
 :func:`make_backend` maps the CLI's ``--jobs`` grammar (``N``,
-``auto``, ``thread[:N]``, ``vector[:N]``, ``remote[:URL]``) onto a
-backend;
+``auto``, ``serial``, ``vector[:N]``, ``remote[:URL]``) onto a backend;
 :func:`available_cpus` is the ``auto`` worker count (cgroup/affinity
 aware where the platform exposes it).
 """
@@ -49,7 +44,7 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
@@ -74,7 +69,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ThreadPoolBackend",
     "VectorBackend",
     "StructureShareConfig",
     "available_cpus",
@@ -85,15 +79,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructureShareConfig:
-    """How process-based backends share ``LatticeStructure`` with workers.
+    """How the vector backend shares ``LatticeStructure`` with workers.
 
     ``use_shm`` packs the structures a batch needs into one
     :mod:`multiprocessing.shared_memory` segment that pool workers
     attach read-only views of (see :mod:`repro.core.structshare`);
     ``npz_dir`` additionally persists them as ``.npz`` files — the
     fork-unsafe/Windows fallback and a cold-start cache across runs.
-    The default (shm on, no disk dir) matches ``--jobs N`` /
-    ``--jobs vector:N`` with no ``--structure-cache`` flag;
+    The default (shm on, no disk dir) matches ``--jobs N`` with no
+    ``--structure-cache`` flag;
     :meth:`disabled` restores the rebuild-per-worker baseline.
     """
 
@@ -210,9 +204,9 @@ def _warm_structures_from_disk(
 ) -> None:
     """Seed this process's structure cache from the ``.npz`` layer.
 
-    In-process backends (serial, thread, the vector backend's inline
-    groups) have no pool to export to, but a configured
-    ``--structure-cache`` directory still serves them: a cold process
+    The vector backend's inline groups have no pool to export to, but
+    a configured ``--structure-cache`` directory still serves them: a
+    cold process
     loads the lattice skeleton instead of enumerating it, and a first
     build is persisted for the next run. Best-effort, like all sharing.
     """
@@ -361,19 +355,7 @@ def _notify(on_outcome: Optional[OutcomeFn], outcome: PointOutcome) -> None:
 
 
 class SerialBackend:
-    """In-process reference backend.
-
-    ``structure_share`` only uses the disk layer here (there are no
-    workers to export shared memory to): with an ``npz_dir`` configured
-    the process loads cached lattice skeletons instead of enumerating.
-    """
-
-    def __init__(
-        self, *, structure_share: Optional[StructureShareConfig] = None
-    ) -> None:
-        self.structure_share = (
-            structure_share if structure_share is not None else StructureShareConfig()
-        )
+    """In-process reference backend (the vector backend's default fallback)."""
 
     def run(
         self,
@@ -383,7 +365,6 @@ class SerialBackend:
         on_outcome: Optional[OutcomeFn] = None,
     ) -> list[PointOutcome]:
         """Evaluate items one by one in the calling thread."""
-        _warm_structures_from_disk(self.structure_share, items)
         outcomes = []
         for i, item in enumerate(items):
             outcome = _evaluate_one(fn, i, item)
@@ -402,31 +383,16 @@ class ProcessPoolBackend:
     ``chunksize=None`` auto-sizes to about four chunks per worker — small
     enough to balance load across uneven point costs, large enough that
     pickling overhead stays negligible. ``fn`` and the items must be
-    picklable (the engine's evaluation requests are).
-
-    When a batch consists of engine evaluation requests, the lattice
-    structures it needs are built once in the parent and exported to
-    every worker via shared memory / the ``.npz`` cache
-    (``structure_share``; :mod:`repro.core.structshare`) instead of
-    being re-enumerated per process.
+    picklable.
     """
 
-    def __init__(
-        self,
-        max_workers: int,
-        *,
-        chunksize: Optional[int] = None,
-        structure_share: Optional[StructureShareConfig] = None,
-    ) -> None:
+    def __init__(self, max_workers: int, *, chunksize: Optional[int] = None) -> None:
         if max_workers < 1:
             raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
         if chunksize is not None and chunksize < 1:
             raise ParameterError(f"chunksize must be >= 1, got {chunksize}")
         self.max_workers = max_workers
         self.chunksize = chunksize
-        self.structure_share = (
-            structure_share if structure_share is not None else StructureShareConfig()
-        )
 
     def _chunksize_for(self, n_items: int) -> int:
         if self.chunksize is not None:
@@ -449,99 +415,30 @@ class ProcessPoolBackend:
         size = self._chunksize_for(len(indexed))
         chunks = [indexed[i : i + size] for i in range(0, len(indexed), size)]
         outcomes: list[Optional[PointOutcome]] = [None] * len(indexed)
-        share = _export_shared_structures(self.structure_share, items)
         workers = min(self.max_workers, len(chunks))
-        try:
-            with span(
-                "pool.run", workers=workers, chunks=len(chunks), points=len(indexed)
-            ):
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    **_pool_init_kwargs(share),
-                ) as pool:
-                    futures = [
-                        pool.submit(_run_chunk, fn, chunk, time.time())
-                        for chunk in chunks
-                    ]
-                    for future in futures:
-                        # Point-level errors are already captured inside
-                        # the chunk; a future-level error means the worker
-                        # died (unpicklable fn, OOM kill) and should
-                        # propagate.
-                        chunk_outcomes, telemetry = future.result()
-                        absorb_telemetry(telemetry)
-                        for outcome in chunk_outcomes:
-                            outcomes[outcome.index] = outcome
-                            _notify(on_outcome, outcome)
-        finally:
-            if share is not None:
-                share.close()
+        with span("pool.run", workers=workers, chunks=len(chunks), points=len(indexed)):
+            with ProcessPoolExecutor(
+                max_workers=workers, **_pool_init_kwargs(None)
+            ) as pool:
+                futures = [
+                    pool.submit(_run_chunk, fn, chunk, time.time())
+                    for chunk in chunks
+                ]
+                for future in futures:
+                    # Point-level errors are already captured inside the
+                    # chunk; a future-level error means the worker died
+                    # (unpicklable fn, OOM kill) and should propagate.
+                    chunk_outcomes, telemetry = future.result()
+                    absorb_telemetry(telemetry)
+                    for outcome in chunk_outcomes:
+                        outcomes[outcome.index] = outcome
+                        _notify(on_outcome, outcome)
         assert all(o is not None for o in outcomes)
         return outcomes  # type: ignore[return-value]
 
     def describe(self) -> str:
         """Short backend description with worker count."""
         return f"process-pool(workers={self.max_workers})"
-
-
-class ThreadPoolBackend:
-    """Thread-pool backend for solver-releasing-GIL workloads.
-
-    The heavy part of a model evaluation — the sparse linear solve —
-    runs in native scipy/BLAS code that releases the GIL, so threads
-    overlap it without process spin-up or pickling costs. Pure-Python
-    stages still serialise on the GIL, which is why the process pool
-    stays the default for ``--jobs N``; threads win when spawn cost or
-    unpicklable work dominates.
-    """
-
-    def __init__(
-        self,
-        max_workers: int,
-        *,
-        structure_share: Optional[StructureShareConfig] = None,
-    ) -> None:
-        if max_workers < 1:
-            raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self.structure_share = (
-            structure_share if structure_share is not None else StructureShareConfig()
-        )
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        *,
-        on_outcome: Optional[OutcomeFn] = None,
-    ) -> list[PointOutcome]:
-        """Evaluate items on a thread pool; input order preserved."""
-        indexed = list(enumerate(items))
-        if not indexed:
-            return []
-        # Threads share this process's structure cache; the disk layer
-        # still saves the cold-start enumeration.
-        _warm_structures_from_disk(self.structure_share, items)
-        if len(indexed) == 1:  # pool spin-up is never worth one point
-            return SerialBackend().run(fn, items, on_outcome=on_outcome)
-        with span("pool.run_threads", workers=self.max_workers, points=len(indexed)):
-            with ThreadPoolExecutor(
-                max_workers=min(self.max_workers, len(indexed))
-            ) as pool:
-                futures = [
-                    pool.submit(_evaluate_one, fn, index, item)
-                    for index, item in indexed
-                ]
-                outcomes = []
-                for future in futures:
-                    outcome = future.result()
-                    _notify(on_outcome, outcome)
-                    outcomes.append(outcome)
-                return outcomes
-
-    def describe(self) -> str:
-        """Short backend description with worker count."""
-        return f"thread-pool(workers={self.max_workers})"
 
 
 def _carry(exc: BaseException) -> Optional[BaseException]:
@@ -621,23 +518,26 @@ def _solve_survivability_chunk(
 class VectorBackend:
     """Structure-sharing batched evaluation behind the backend contract.
 
-    When ``run`` receives one of the engine's canonical batch tasks —
+    The executor of every engine request. When ``run`` receives the
+    engine's evaluators —
     :func:`repro.engine.batch.evaluate_request` over
-    :class:`~repro.engine.batch.EvalRequest` items, or
+    :class:`~repro.engine.batch.EvalRequest` items,
     :func:`repro.engine.batch.evaluate_survivability_request` over
-    :class:`~repro.engine.batch.SurvivabilityRequest` items — the whole
-    batch is handed to the matching structure-sharing solver
+    :class:`~repro.engine.batch.SurvivabilityRequest` items, or the
+    type-dispatching :func:`repro.engine.batch.evaluate_auto` over
+    either or both — the batch is handed to the matching
+    structure-sharing solvers
     (:func:`repro.core.metrics.evaluate_batch_outcomes` /
     :func:`repro.core.metrics.evaluate_survivability_batch_outcomes`):
-    requests are grouped by solver options, each group shares one
-    cached lattice structure per ``N``, and a single multi-point sweep
-    solves every grid point at once — bit-identical results, no
-    processes, no pickling. ``spn``/``spn-coupled`` requests and
-    arbitrary callables fall back to ``fallback`` (serial by default),
-    so the backend is safe to use anywhere a backend is accepted.
+    requests are grouped by kind and solver options, each group shares
+    one cached lattice structure per ``N``, and a single multi-point
+    sweep solves every grid point at once — bit-identical results, no
+    processes, no pickling. Opaque callables fall back to ``fallback``
+    (serial by default), so the backend is safe to use anywhere a
+    backend is accepted.
 
-    ``chunk_workers`` is the **vector+procs hybrid** (``--jobs
-    vector:N``): each homogeneous group is split into independent
+    ``chunk_workers`` is the **vector+procs hybrid** (``--jobs N`` /
+    ``--jobs vector:N``): each group is split into independent
     chunks that are fanned out over a process pool, every worker
     running the batched solver on its chunk. Per-point arithmetic in
     the batched solvers never mixes points, so chunked results are
@@ -673,16 +573,14 @@ class VectorBackend:
             structure_share if structure_share is not None else StructureShareConfig()
         )
 
-    def _batch_kind(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> Optional[str]:
-        """Classify a canonical engine batch; ``None`` means fall back.
+    @staticmethod
+    def _groups(
+        fn: Callable[[Any], Any], items: Sequence[Any]
+    ) -> Optional[dict[tuple, list[int]]]:
+        """Item indices per ``(kind, solver options)``; ``None`` = fall back.
 
-        ``evaluate_auto`` (the sweep service's type-dispatching
-        evaluator) is recognised too, as long as the batch is
-        homogeneous — a mixed eval/survivability batch falls back to
-        the inner backend, which stays correct (``evaluate_auto``
-        dispatches per item) at per-point speed.
+        A key's first entry is the request kind (``"model"`` or
+        ``"survivability"``); ``evaluate_auto`` batches may mix both.
         """
         from .batch import (
             EvalRequest,
@@ -692,24 +590,23 @@ class VectorBackend:
             evaluate_survivability_request,
         )
 
-        if fn in (evaluate_request, evaluate_auto) and all(
-            isinstance(item, EvalRequest) for item in items
-        ):
-            return "model"
-        if fn in (evaluate_survivability_request, evaluate_auto) and all(
-            isinstance(item, SurvivabilityRequest) for item in items
-        ):
-            return "survivability"
-        return None
-
-    def _group_key(self, kind: str, request: Any) -> tuple:
-        if kind == "model":
-            return (
-                request.method,
-                request.include_breakdown,
-                request.include_variance,
-            )
-        return (request.times_s, request.eps)
+        model_fns = (evaluate_request, evaluate_auto)
+        survivability_fns = (evaluate_survivability_request, evaluate_auto)
+        groups: dict[tuple, list[int]] = {}
+        for i, item in enumerate(items):
+            if isinstance(item, EvalRequest) and fn in model_fns:
+                key: tuple = (
+                    "model",
+                    item.method,
+                    item.include_breakdown,
+                    item.include_variance,
+                )
+            elif isinstance(item, SurvivabilityRequest) and fn in survivability_fns:
+                key = ("survivability", item.times_s, item.eps)
+            else:
+                return None
+            groups.setdefault(key, []).append(i)
+        return groups
 
     def _chunks(self, indices: list[int]) -> list[list[int]]:
         """Deterministic input-order chunking for the process fan-out."""
@@ -729,38 +626,37 @@ class VectorBackend:
         *,
         on_outcome: Optional[OutcomeFn] = None,
     ) -> list[PointOutcome]:
-        """Evaluate a batch, routing homogeneous engine requests to the
-        batched solvers and everything else to the per-point fallback.
+        """Evaluate a batch, routing engine requests to the batched
+        solvers and opaque callables to the per-point fallback.
         """
         if not items:
             return []
-        kind = self._batch_kind(fn, items)
-        if kind is None:
+        groups = self._groups(fn, items)
+        if groups is None:
             return self.fallback.run(fn, items, on_outcome=on_outcome)
 
         from ..core.metrics import DEFAULT_BATCH_BYTES
 
-        solve = _solve_model_chunk if kind == "model" else _solve_survivability_chunk
         max_bytes = (
             self.max_batch_bytes
             if self.max_batch_bytes is not None
             else DEFAULT_BATCH_BYTES
         )
-        # One batched solve per distinct option bundle; scatter the
-        # outcomes back into input order.
+        # One batched solve per distinct kind and option bundle; scatter
+        # the outcomes back into input order.
         outcomes: list[Optional[PointOutcome]] = [None] * len(items)
-        groups: dict[tuple, list[int]] = {}
-        for i, request in enumerate(items):
-            groups.setdefault(self._group_key(kind, request), []).append(i)
-
-        inline: list[list[int]] = []
-        fanned: list[list[int]] = []
-        for indices in groups.values():
+        solvers = {
+            "model": _solve_model_chunk,
+            "survivability": _solve_survivability_chunk,
+        }
+        inline: list[tuple[str, list[int]]] = []
+        fanned: list[tuple[str, list[int]]] = []
+        for key, indices in groups.items():
             chunks = self._chunks(indices) if self.chunk_workers else [indices]
             if len(chunks) > 1:
-                fanned.extend(chunks)
+                fanned.extend((key[0], chunk) for chunk in chunks)
             else:
-                inline.append(indices)
+                inline.append((key[0], indices))
 
         def scatter(chunk: list[int], chunk_outcomes: list[PointOutcome]) -> None:
             for local, i in zip(chunk_outcomes, chunk):
@@ -780,11 +676,13 @@ class VectorBackend:
         # run then loads the lattice skeleton instead of enumerating it.
         _warm_structures_from_disk(self.structure_share, items)
 
-        for indices in inline:
+        for kind, indices in inline:
             with span("vector.solve", kind=kind, points=len(indices)):
                 scatter(
                     indices,
-                    solve([items[i] for i in indices], max_bytes, sanitize=False),
+                    solvers[kind](
+                        [items[i] for i in indices], max_bytes, sanitize=False
+                    ),
                 )
         if fanned:
             assert self.chunk_workers is not None
@@ -793,7 +691,7 @@ class VectorBackend:
             try:
                 with span(
                     "vector.pool_run",
-                    kind=kind,
+                    kind=",".join(sorted({kind for kind, _ in fanned})),
                     workers=workers,
                     chunks=len(fanned),
                 ):
@@ -804,17 +702,17 @@ class VectorBackend:
                         futures = [
                             pool.submit(
                                 _run_solve_chunk,
-                                solve,
+                                solvers[kind],
                                 [items[i] for i in chunk],
                                 max_bytes,
                                 time.time(),
                             )
-                            for chunk in fanned
+                            for kind, chunk in fanned
                         ]
                         # A future-level error means the worker died (OOM
                         # kill, unpicklable payload) and should propagate,
                         # exactly like ProcessPoolBackend.
-                        for chunk, future in zip(fanned, futures):
+                        for (_, chunk), future in zip(fanned, futures):
                             chunk_outcomes, telemetry = future.result()
                             absorb_telemetry(telemetry)
                             scatter(chunk, chunk_outcomes)
@@ -846,36 +744,31 @@ def make_backend(
 ) -> ExecutionBackend:
     """Map the shared ``--jobs`` grammar onto a backend.
 
-    * ``None`` / ``0`` / ``1`` / ``"serial"`` — :class:`SerialBackend`;
-    * ``n > 1`` (int or numeric string) — process pool with ``n``
-      workers;
-    * ``"auto"`` — process pool sized to :func:`available_cpus`
-      (serial when only one CPU is usable);
-    * ``"thread"`` / ``"thread:auto"`` — thread pool sized to
-      :func:`available_cpus`;
-    * ``"thread:N"`` — thread pool with ``N`` workers;
-    * ``"vector"`` — :class:`VectorBackend` (structure-sharing batched
-      solver; no worker processes needed);
-    * ``"vector:N"`` / ``"vector:auto"`` — the vector+procs hybrid:
-      batched solving *and* ``N`` (or one-per-CPU) pool workers, each
-      solving independent chunks of the batch;
+    Every local spec resolves to a :class:`VectorBackend`, so engine
+    requests always take the batched solvers; the spec only sets how
+    many worker processes the batch may fan out over:
+
+    * ``None`` / ``0`` / ``1`` / ``"serial"`` / ``"vector"`` — solve
+      in-process (``VectorBackend()``);
+    * ``n > 1`` (int or numeric string) / ``"vector:N"`` — the
+      vector+procs hybrid with ``N`` pool workers; opaque callables
+      (the ``val-sim`` replications) fan out over a
+      :class:`ProcessPoolBackend` of the same size;
+    * ``"auto"`` / ``"vector:auto"`` — the same, sized to
+      :func:`available_cpus` (in-process when only one CPU is usable);
     * ``"remote"`` / ``"remote:URL"`` — submit engine batches to a
       sweep-service job server (:mod:`repro.service`) instead of
       evaluating locally; the bare form reads the URL from
       ``$REPRO_SERVICE_URL`` (default ``http://127.0.0.1:8765``).
 
-    ``structure_share`` configures how backends hand
-    :class:`~repro.core.fastpath.LatticeStructure` to their workers
+    ``structure_share`` configures how the vector backend hands
+    :class:`~repro.core.fastpath.LatticeStructure` to its pool workers
     (``None`` = the default shared-memory export; see
-    :class:`StructureShareConfig`). Serial and thread backends evaluate
-    in-process, where the ordinary structure cache already shares —
-    for them only the on-disk ``npz_dir`` layer applies (cold-start
-    loads instead of enumeration).
+    :class:`StructureShareConfig`); in-process solves use only its
+    on-disk ``npz_dir`` layer (cold-start loads instead of enumeration).
     """
     if isinstance(jobs, str):
         spec = jobs.strip().lower()
-        if spec == "serial":
-            return SerialBackend(structure_share=structure_share)
         if spec == "remote" or spec.startswith("remote:"):
             # Import lazily: the engine must not depend on the service
             # tier unless a remote backend is actually requested.
@@ -886,61 +779,27 @@ def make_backend(
             if not url:
                 url = os.environ.get("REPRO_SERVICE_URL", DEFAULT_SERVICE_URL)
             return RemoteBackend(
-                url, fallback=SerialBackend(structure_share=structure_share)
+                url, fallback=VectorBackend(structure_share=structure_share)
             )
-        if spec == "vector" or spec.startswith("vector:"):
-            _, colon, count = spec.partition(":")
-            if not colon:
-                return VectorBackend(structure_share=structure_share)
-            if count == "auto":
-                n = available_cpus()
-                return VectorBackend(
-                    chunk_workers=n if n > 1 else None,
-                    structure_share=structure_share,
-                )
+        count = spec.removeprefix("vector:")
+        if spec in ("serial", "vector"):
+            jobs = 1
+        elif count == "auto":
+            jobs = available_cpus()
+        else:
             try:
-                workers = int(count)
+                jobs = int(count)
             except ValueError:
                 raise ParameterError(
-                    "vector worker count must be an integer or 'auto', "
-                    f"got {jobs!r}"
+                    "jobs must be N, 'auto', 'serial', 'vector[:N]' or "
+                    f"'remote[:URL]' (N = worker processes), got {jobs!r}"
                 ) from None
-            return VectorBackend(
-                chunk_workers=workers, structure_share=structure_share
-            )
-        if spec == "auto":
-            n = available_cpus()
-            if n <= 1:
-                return SerialBackend(structure_share=structure_share)
-            return ProcessPoolBackend(
-                max_workers=n, structure_share=structure_share
-            )
-        if spec == "thread" or spec.startswith("thread:"):
-            _, colon, count = spec.partition(":")
-            if count == "auto" or not colon:
-                return ThreadPoolBackend(
-                    max_workers=available_cpus(),
-                    structure_share=structure_share,
-                )
-            try:
-                workers = int(count)
-            except ValueError:
-                raise ParameterError(
-                    "thread worker count must be an integer or 'auto', "
-                    f"got {jobs!r}"
-                ) from None
-            return ThreadPoolBackend(
-                max_workers=workers, structure_share=structure_share
-            )
-        try:
-            jobs = int(spec)
-        except ValueError:
-            raise ParameterError(
-                "jobs must be N, 'auto', 'serial', 'vector[:N]', "
-                f"'thread[:N]' or 'remote[:URL]', got {jobs!r}"
-            ) from None
     if jobs is not None and jobs < 0:
         raise ParameterError(f"jobs must be >= 0, got {jobs}")
     if jobs is None or jobs <= 1:
-        return SerialBackend(structure_share=structure_share)
-    return ProcessPoolBackend(max_workers=jobs, structure_share=structure_share)
+        return VectorBackend(structure_share=structure_share)
+    return VectorBackend(
+        chunk_workers=jobs,
+        fallback=ProcessPoolBackend(jobs),
+        structure_share=structure_share,
+    )

@@ -36,7 +36,6 @@ from .batch import (
     SurvivabilityRequest,
     evaluate_survivability_request,
 )
-from .executor import SerialBackend
 
 __all__ = [
     "SweepJob",
@@ -178,7 +177,7 @@ class Campaign:
         progress: Optional[ProgressFn] = None,
     ) -> "CampaignOutcome":
         """Expand every job, submit once, scatter results per job."""
-        runner = runner or BatchRunner(backend=SerialBackend())
+        runner = runner or BatchRunner()
         expanded = [(job, job.requests()) for job in self.jobs]
         flat = [req for _, reqs in expanded for _, req in reqs]
         batch = runner.run(flat, progress=progress)
@@ -317,7 +316,7 @@ class SurvivabilitySweep:
         progress: Optional[ProgressFn] = None,
     ) -> "SurvivabilityOutcome":
         """Submit every grid point as one deduplicated batch."""
-        runner = runner or BatchRunner(backend=SerialBackend())
+        runner = runner or BatchRunner()
         expanded = self.requests()
         batch = runner.run(
             [req for _, req in expanded],

@@ -32,7 +32,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..engine.batch import EvalRequest, SurvivabilityRequest
 from ..engine.cache import result_from_dict
-from ..engine.executor import PointOutcome, SerialBackend
+from ..engine.executor import PointOutcome, VectorBackend
 from ..errors import ReproError
 from ..obs import absorb_telemetry
 from .protocol import (
@@ -247,7 +247,7 @@ class RemoteBackend:
         batches whose items are not engine requests, or whose evaluator
         is not one of the engine's own (the server always dispatches by
         request type).  Defaults to a fresh
-        :class:`~repro.engine.executor.SerialBackend`.
+        :class:`~repro.engine.executor.VectorBackend`.
     poll_interval:
         Base sleep between fetches while the stream has no new
         entries; consecutive empty fetches back off exponentially
@@ -282,7 +282,7 @@ class RemoteBackend:
         name: str = "remote-batch",
     ) -> None:
         self.client = client if client is not None else ServiceClient(url)
-        self.fallback = fallback if fallback is not None else SerialBackend()
+        self.fallback = fallback if fallback is not None else VectorBackend()
         self.poll_interval = poll_interval
         self.poll_max_interval = poll_max_interval
         self.poll_timeout = poll_timeout

@@ -10,9 +10,10 @@ Two layers, deliberately separable:
     :class:`~repro.engine.cache.ResultCache`, so concurrent clients
     submitting overlapping grids share work automatically, and a
     resubmission of a finished campaign is 100% cache hits.  Jobs run
-    one at a time on purpose — the evaluation backend underneath
-    (vector / process pool) already owns the machine's parallelism, and
-    serial job execution keeps each job's metrics delta clean.
+    one at a time on purpose — the evaluation backend underneath (the
+    vector backend and its process pool) already owns the machine's
+    parallelism, and serial job execution keeps each job's metrics
+    delta clean.
 :class:`ServiceServer`
     A minimal ``asyncio`` HTTP/1.1 front end (stdlib only, no web
     framework) routing five endpoints onto the service.  Use
@@ -501,7 +502,7 @@ class ServiceServer:
         self.port = port
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self._background: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._url: Optional[str] = None
 
@@ -524,10 +525,10 @@ class ServiceServer:
         the returned URL carries whatever the OS picked.  Designed for
         in-process tests and the CI service smoke.
         """
-        self._thread = threading.Thread(
+        self._background = threading.Thread(
             target=self.serve_forever, name="sweep-service-http", daemon=True
         )
-        self._thread.start()
+        self._background.start()
         if not self._ready.wait(timeout):
             raise RuntimeError("service did not start listening in time")
         assert self._url is not None
@@ -535,19 +536,19 @@ class ServiceServer:
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Block on the background server thread; True once it exited."""
-        if self._thread is None:
+        if self._background is None:
             return True
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
+        self._background.join(timeout)
+        return not self._background.is_alive()
 
     def stop(self) -> None:
         """Stop listening and shut the job worker down."""
         loop = self._loop
         if loop is not None and loop.is_running():
             loop.call_soon_threadsafe(self._request_stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
+        if self._background is not None:
+            self._background.join(timeout=10.0)
+            self._background = None
         self.service.shutdown()
 
     def _request_stop(self) -> None:

@@ -35,7 +35,7 @@ import traceback as traceback_module
 from typing import Any, Optional
 
 from ..engine.batch import evaluate_auto
-from ..engine.executor import SerialBackend, run_chunk
+from ..engine.executor import VectorBackend, run_chunk
 from .chaos import ChaosConfig
 from .client import ServiceClient, ServiceError
 from .protocol import ChunkLease, ChunkReport, chunk_outcome_to_dict
@@ -54,7 +54,7 @@ class ServiceWorker:
         Base URL of the sweep service.
     backend:
         Local execution backend leased chunks are evaluated on
-        (default: a fresh :class:`~repro.engine.executor.SerialBackend`).
+        (default: a fresh :class:`~repro.engine.executor.VectorBackend`).
     name:
         Roster label; defaults to ``<host>:<pid>``.
     chaos:
@@ -80,7 +80,7 @@ class ServiceWorker:
         poll_interval: float = 0.5,
     ) -> None:
         self.client = client if client is not None else ServiceClient(url)
-        self.backend = backend if backend is not None else SerialBackend()
+        self.backend = backend if backend is not None else VectorBackend()
         self.name = name or f"{socket.gethostname()}:{os.getpid()}"
         self.chaos = chaos if chaos is not None else ChaosConfig()
         self.max_chunks = max_chunks

@@ -10,7 +10,7 @@ tests pin that contract at a reduced ``N`` (the arithmetic is
 size-independent; the full-scale campaign equality is asserted by
 ``benchmarks/bench_batch_solver.py``), and cover the engine routing:
 ``VectorBackend`` / ``--jobs vector``, cache hit/miss parity with the
-process-pool path, ``tradeoff_curve(workers="vector")`` and
+process-pool path, ``tradeoff_curve``/``optimize_tids`` and
 ``model_grid_sweep``.
 """
 
@@ -31,7 +31,7 @@ from repro.core.metrics import (
     evaluate_batch_outcomes,
     resolve_network,
 )
-from repro.core.optimizer import optimize_tids, tradeoff_curve
+from repro.core.optimizer import optimize_tids, select_optimum, tradeoff_curve
 from repro.core.rates import GCSRates
 from repro.ctmc.acyclic import (
     batch_dag_structure,
@@ -49,7 +49,7 @@ from repro.engine import (
     VectorBackend,
     make_backend,
 )
-from repro.engine.batch import evaluate_request
+from repro.engine.batch import evaluate_request, run_tids_sweep
 from repro.errors import ParameterError, SolverError
 from repro.params import GCSParameters
 
@@ -522,31 +522,30 @@ class TestSweepRouting:
     GRID = (15.0, 60.0, 240.0, 960.0)
 
     def test_tradeoff_curve_vector_parity(self):
+        # One batched sweep for the whole curve; each point equals its
+        # own chain's reference solve, and progress fires in grid order.
         params = GCSParameters.small_test()
-        serial = tradeoff_curve(params, self.GRID)
         seen = []
-        vector = tradeoff_curve(
-            params, self.GRID, workers="vector", progress=seen.append
-        )
-        assert [p.tids_s for p in vector] == list(self.GRID)
-        assert len(seen) == len(self.GRID)
-        for s, v in zip(serial, vector):
-            _assert_identical(v.result, s.result)
-
-    def test_tradeoff_curve_rejects_unknown_spec(self):
-        with pytest.raises(ParameterError, match="vector"):
-            tradeoff_curve(
-                GCSParameters.small_test(), self.GRID, workers="warp"
+        curve = tradeoff_curve(params, self.GRID, progress=seen.append)
+        assert [p.tids_s for p in curve] == list(self.GRID)
+        assert seen == curve
+        for point in curve:
+            _assert_identical(
+                point.result,
+                reference_evaluate(
+                    params.replacing(detection_interval_s=point.tids_s)
+                ),
             )
 
     def test_optimize_tids_vector_parity(self):
+        # The direct search and the engine's vector+procs path agree.
         params = GCSParameters.small_test()
-        serial = optimize_tids(params, self.GRID)
-        vector = optimize_tids(params, self.GRID, workers="vector")
-        assert vector.optimal_tids_s == serial.optimal_tids_s
-        assert [p.mttsf_s for p in vector.curve] == [
-            p.mttsf_s for p in serial.curve
-        ]
+        direct = optimize_tids(params, self.GRID)
+        runner = BatchRunner(backend=make_backend("vector:2"))
+        engine = select_optimum(run_tids_sweep(runner, params, self.GRID))
+        assert engine.optimal_tids_s == direct.optimal_tids_s
+        for d, e in zip(direct.curve, engine.curve):
+            _assert_identical(e.result, d.result)
 
     def test_model_grid_sweep_vector_parity(self):
         grid = {"num_voters": (3, 5), "detection_interval_s": (15.0, 60.0)}

@@ -71,8 +71,8 @@ class TestSweepCommand:
     def test_jobs_accepts_backend_grammar(self):
         args = build_parser().parse_args(["run", "fig2", "--jobs", "auto"])
         assert args.jobs == "auto"
-        args = build_parser().parse_args(["run", "fig2", "--jobs", "thread:2"])
-        assert args.jobs == "thread:2"
+        args = build_parser().parse_args(["run", "fig2", "--jobs", "vector:2"])
+        assert args.jobs == "vector:2"
 
     def test_bad_jobs_spec_is_an_error(self, capsys):
         assert main(["run", "scale", "--jobs", "nonsense"]) == 2
@@ -199,7 +199,7 @@ class TestObservabilityFlags:
 
         manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
         assert manifest["schema_version"] == 1
-        assert manifest["backend"] == "serial"
+        assert manifest["backend"] == "vector"
         assert len(manifest["params_digest"]) == 64
         # The manifest report mirrors the artifact's own report counts.
         artifact = json.loads(out.read_text())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Scenario, optimize_tids, tradeoff_curve
+from repro.engine import EvalRequest, make_runner, run_tids_sweep
 from repro.errors import ParameterError
 from repro.params import GCSParameters
 
@@ -121,26 +122,35 @@ class TestOptimizeTids:
 
 class TestParallelSweep:
     def test_parallel_matches_serial(self, params):
+        # Parallel sweeps go through the engine; its vector+procs path
+        # returns the same bytes as the in-process curve.
         grid = [30.0, 120.0, 480.0]
         serial = tradeoff_curve(params, grid)
-        parallel = tradeoff_curve(params, grid, workers=2)
+        parallel = run_tids_sweep(make_runner(2), params, grid)
         assert [p.tids_s for p in parallel] == grid
         for a, b in zip(serial, parallel):
-            assert a.mttsf_s == pytest.approx(b.mttsf_s, rel=1e-12)
-            assert a.ctotal_hop_bits_s == pytest.approx(b.ctotal_hop_bits_s, rel=1e-12)
+            assert a.mttsf_s == b.mttsf_s
+            assert a.ctotal_hop_bits_s == b.ctotal_hop_bits_s
 
     def test_progress_fires_in_parallel_mode(self, params):
+        # The engine's parallel path streams one progress event per point.
+        grid = [30.0, 120.0]
+        requests = [
+            EvalRequest(params=params.replacing(detection_interval_s=t))
+            for t in grid
+        ]
         seen = []
-        tradeoff_curve(params, [30.0, 120.0], workers=2, progress=seen.append)
-        assert sorted(p.tids_s for p in seen) == [30.0, 120.0]
+        make_runner(2).run(
+            requests, progress=lambda index, key, source: seen.append(index)
+        )
+        assert sorted(seen) == [0, 1]
 
     def test_invalid_workers(self, params):
-        with pytest.raises(ParameterError):
-            tradeoff_curve(params, [30.0], workers=0)
-
-    def test_optimize_accepts_workers(self, params):
-        out = optimize_tids(params, [30.0, 120.0], workers=2)
-        assert out.feasible
+        # Parallelism lives in the engine; the direct path takes none.
+        with pytest.raises(TypeError, match="workers"):
+            tradeoff_curve(params, [30.0], workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            optimize_tids(params, [30.0], workers=2)
 
 
 class TestScenarioOptimize:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -19,7 +20,6 @@ from repro.engine import (
     SerialBackend,
     SurvivabilityRequest,
     SweepJob,
-    ThreadPoolBackend,
     VectorBackend,
     available_cpus,
     load_campaign,
@@ -31,7 +31,11 @@ from repro.engine import (
     run_tids_sweep,
     scenario_fingerprint,
 )
-from repro.engine.batch import evaluate_request, evaluate_survivability_request
+from repro.engine.batch import (
+    evaluate_auto,
+    evaluate_request,
+    evaluate_survivability_request,
+)
 from repro.errors import ExperimentError, ParameterError
 from repro.params import GCSParameters
 
@@ -349,14 +353,17 @@ class TestDiskEviction:
 # ---------------------------------------------------------------------------
 
 class TestMakeRunner:
-    def test_defaults_are_serial_and_ephemeral(self):
+    def test_defaults_are_vector_and_ephemeral(self):
         runner = make_runner()
-        assert isinstance(runner.backend, SerialBackend)
+        assert isinstance(runner.backend, VectorBackend)
+        assert runner.backend.chunk_workers is None
+        assert isinstance(BatchRunner().backend, VectorBackend)
         assert runner.cache.cache_dir is None
 
     def test_flags_build_cache_and_backend(self, tmp_path):
-        runner = make_runner("thread:2", tmp_path, cache_cap_mb=1.0)
-        assert isinstance(runner.backend, ThreadPoolBackend)
+        runner = make_runner(2, tmp_path, cache_cap_mb=1.0)
+        assert isinstance(runner.backend, VectorBackend)
+        assert runner.backend.chunk_workers == 2
         assert runner.cache.cache_dir == tmp_path
         assert runner.cache.max_disk_bytes == 1024 * 1024
 
@@ -371,6 +378,10 @@ class TestMakeRunner:
 
 def _square(x):
     return x * x
+
+
+def _pid(_):
+    return os.getpid()
 
 
 def _explode_on_two(x):
@@ -393,23 +404,17 @@ class TestExecutors:
             (o.index, o.value, o.error) for o in pooled
         ]
 
-    def test_thread_pool_matches_serial(self):
-        items = list(range(7))
-        serial = SerialBackend().run(_square, items)
-        threaded = ThreadPoolBackend(3).run(_square, items)
-        assert [(o.index, o.value, o.error) for o in serial] == [
-            (o.index, o.value, o.error) for o in threaded
-        ]
-
-    def test_thread_pool_accepts_unpicklable_fn(self):
-        # Closures can't cross a process boundary; threads don't care.
-        offset = 10
-        outcomes = ThreadPoolBackend(2).run(lambda x: x + offset, [1, 2, 3])
-        assert [o.value for o in outcomes] == [11, 12, 13]
+    def test_opaque_callables_fan_out_over_processes(self):
+        # `--jobs 2` on an opaque callable (the val-sim replications)
+        # still runs in worker processes, not in this one.
+        outcomes = make_backend(2).run(_pid, list(range(4)))
+        pids = {o.value for o in outcomes}
+        assert all(o.ok for o in outcomes)
+        assert os.getpid() not in pids
 
     @pytest.mark.parametrize(
         "backend",
-        [SerialBackend(), ProcessPoolBackend(2), ThreadPoolBackend(2)],
+        [SerialBackend(), ProcessPoolBackend(2), make_backend(2)],
     )
     def test_error_capture(self, backend):
         outcomes = backend.run(_explode_on_two, [1, 2, 3])
@@ -419,39 +424,63 @@ class TestExecutors:
         # Original exception object crosses the process boundary.
         assert isinstance(outcomes[1].exception, ValueError)
 
-    @pytest.mark.parametrize(
-        "backend", [ProcessPoolBackend(2), ThreadPoolBackend(2)]
-    )
+    @pytest.mark.parametrize("backend", [ProcessPoolBackend(2), make_backend(2)])
     def test_empty_and_single_item(self, backend):
         assert backend.run(_square, []) == []
         assert backend.run(_square, [4])[0].value == 16
 
     def test_make_backend_semantics(self):
-        assert isinstance(make_backend(None), SerialBackend)
-        assert isinstance(make_backend(0), SerialBackend)
-        assert isinstance(make_backend(1), SerialBackend)
-        assert isinstance(make_backend(3), ProcessPoolBackend)
-        with pytest.raises(ParameterError):
-            make_backend(-1)
+        assert make_backend(None).describe() == "vector"
+        assert make_backend(3).describe() == "vector+procs(workers=3)"
+        for bad in (-1, "-1", "vector:-2"):
+            with pytest.raises(ParameterError, match=">= 0"):
+                make_backend(bad)
 
     def test_make_backend_string_grammar(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("1"), SerialBackend)
-        assert isinstance(make_backend("3"), ProcessPoolBackend)
-        auto = make_backend("auto")
-        if available_cpus() > 1:
-            assert isinstance(auto, ProcessPoolBackend)
-            assert auto.max_workers == available_cpus()
-        else:
-            assert isinstance(auto, SerialBackend)
-        threads = make_backend("thread")
-        assert isinstance(threads, ThreadPoolBackend)
-        assert threads.max_workers == available_cpus()
-        assert make_backend("thread:5").max_workers == 5
-        assert isinstance(make_backend("thread:auto"), ThreadPoolBackend)
-        for bad in ("nonsense", "thread:x", "thread:"):
+        for bad in ("nonsense", "vector:", "vector:x", "vector:vector"):
             with pytest.raises(ParameterError):
                 make_backend(bad)
+        # The retired thread pool's specs point at the replacement.
+        with pytest.raises(ParameterError, match=r"N, .*'vector\[:N\]'"):
+            make_backend("thread:2")
+
+    @pytest.mark.parametrize(
+        "spec, chunk_workers",
+        [
+            (None, None),
+            (0, None),
+            (1, None),
+            (3, 3),
+            ("0", None),
+            ("1", None),
+            ("3", 3),
+            (" Serial ", None),
+            ("vector", None),
+            ("vector:1", None),
+            ("vector:5", 5),
+            ("auto", "cpus"),
+            ("vector:auto", "cpus"),
+            ("thread", ParameterError),
+            ("thread:2", ParameterError),
+            ("thread:x", ParameterError),
+        ],
+    )
+    def test_every_local_jobs_spec(self, spec, chunk_workers):
+        if chunk_workers is ParameterError:
+            with pytest.raises(ParameterError, match="vector"):
+                make_backend(spec)
+            return
+        if chunk_workers == "cpus":
+            chunk_workers = available_cpus() if available_cpus() > 1 else None
+        backend = make_backend(spec)
+        assert isinstance(backend, VectorBackend)
+        assert backend.chunk_workers == chunk_workers
+        # Opaque callables fan out over a process pool of the same size.
+        if chunk_workers is None:
+            assert isinstance(backend.fallback, SerialBackend)
+        else:
+            assert isinstance(backend.fallback, ProcessPoolBackend)
+            assert backend.fallback.max_workers == chunk_workers
 
     def test_backend_validation(self):
         with pytest.raises(ParameterError):
@@ -459,10 +488,20 @@ class TestExecutors:
         with pytest.raises(ParameterError):
             ProcessPoolBackend(2, chunksize=0)
         with pytest.raises(ParameterError):
-            ThreadPoolBackend(0)
+            VectorBackend(chunk_workers=0)
 
     def test_available_cpus_positive(self):
         assert available_cpus() >= 1
+
+
+class _NoFallback:
+    """A fallback backend that must never be reached."""
+
+    def run(self, fn, items, *, on_outcome=None):
+        raise AssertionError("engine requests fell back to per-point")
+
+    def describe(self):
+        return "no-fallback"
 
 
 def _value_bytes(outcomes) -> list[str]:
@@ -484,6 +523,7 @@ class TestBackendsReturnSameBytes:
         "serial": SerialBackend,
         "process": lambda: ProcessPoolBackend(2),
         "vector": VectorBackend,
+        "vector+procs": lambda: make_backend(2),
     }
 
     def _run_everywhere(self, fn, requests) -> dict[str, list[str]]:
@@ -503,7 +543,12 @@ class TestBackendsReturnSameBytes:
             EvalRequest(params=GCSParameters.paper_defaults(num_nodes=16)),
         ]
         runs = self._run_everywhere(evaluate_request, requests)
-        assert runs["serial"] == runs["process"] == runs["vector"]
+        assert (
+            runs["serial"]
+            == runs["process"]
+            == runs["vector"]
+            == runs["vector+procs"]
+        )
 
     def test_survivability_requests(self):
         base = GCSParameters.small_test()
@@ -515,7 +560,32 @@ class TestBackendsReturnSameBytes:
             for tids in GRID
         ] + [SurvivabilityRequest(params=base, times_s=(1.0, 3.0))]
         runs = self._run_everywhere(evaluate_survivability_request, requests)
-        assert runs["serial"] == runs["process"] == runs["vector"]
+        assert (
+            runs["serial"]
+            == runs["process"]
+            == runs["vector"]
+            == runs["vector+procs"]
+        )
+
+    def test_mixed_kinds_through_evaluate_auto(self):
+        # The sweep service hands mixed model/survivability batches to
+        # one evaluate_auto call; the vector backend batches both kinds.
+        base = GCSParameters.small_test()
+        requests = [
+            EvalRequest(params=base.replacing(detection_interval_s=15.0)),
+            SurvivabilityRequest(params=base, times_s=(0.5, 2.0)),
+            EvalRequest(params=base.replacing(detection_interval_s=60.0)),
+            SurvivabilityRequest(params=base, times_s=(0.5, 2.0), eps=1e-10),
+        ]
+        runs = self._run_everywhere(evaluate_auto, requests)
+        assert (
+            runs["serial"]
+            == runs["process"]
+            == runs["vector"]
+            == runs["vector+procs"]
+        )
+        batched = VectorBackend(fallback=_NoFallback()).run(evaluate_auto, requests)
+        assert _value_bytes(batched) == runs["serial"]
 
 
 # ---------------------------------------------------------------------------

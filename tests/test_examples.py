@@ -39,7 +39,7 @@ class TestExamples:
         cache = str(tmp_path / "cache")
         cold = run_example("quickstart.py", "--cache-dir", cache)
         warm = run_example(
-            "quickstart.py", "--jobs", "thread:2", "--cache-dir", cache
+            "quickstart.py", "--jobs", "vector:2", "--cache-dir", cache
         )
         assert "hit rate 0.0%" in cold
         assert "hit rate 100.0%" in warm

@@ -320,9 +320,9 @@ class TestBackendRegistration:
         backend = make_backend("remote")
         assert backend.describe() == "remote:http://10.0.0.7:4321"
 
-    def test_make_backend_remote_fallback_is_serial(self):
+    def test_make_backend_remote_fallback_is_vector(self):
         backend = make_backend("remote:http://127.0.0.1:1")
-        assert backend.fallback.describe() == "serial"
+        assert backend.fallback.describe() == "vector"
 
     def test_cli_serve_rejects_remote_jobs(self, capsys):
         from repro.cli import main

@@ -33,7 +33,6 @@ from repro.core.fastpath import (
 from repro.engine import (
     BatchRunner,
     EvalRequest,
-    ProcessPoolBackend,
     StructureShareConfig,
     VectorBackend,
     make_backend,
@@ -113,6 +112,41 @@ class TestNpzRoundTrip:
         arrays["meta"] = meta
         with pytest.raises(Exception, match="schema"):
             ss.structure_from_arrays(arrays)
+
+    def test_schema_1_file_is_a_miss_and_rebuilds(self, tmp_path):
+        # Schema 1 also stored the unordered ELL arrays (dag_ell_cols,
+        # dag_ell_slots, dag_ell_pad). A file in that layout — under its
+        # own name or planted under the current one — never loads; the
+        # structure is rebuilt and rewritten in the current layout.
+        structure = _fresh_structure(N_TEST)
+        arrays = dict(ss.structure_to_arrays(structure))
+        width = max(structure.dag.width, 1)
+        n = structure.dag.num_states
+        arrays["meta"] = arrays["meta"].copy()
+        arrays["meta"][0] = 1
+        arrays["dag_ell_cols"] = np.zeros((n, width), dtype=np.int64)
+        arrays["dag_ell_slots"] = np.zeros((n, width), dtype=np.int64)
+        arrays["dag_ell_pad"] = np.ones((n, width), dtype=bool)
+        tmp_path.mkdir(exist_ok=True)
+        old_path = tmp_path / f"N{N_TEST}.v1.npz"
+        current = ss.structure_cache_path(N_TEST, tmp_path)
+        assert old_path != current
+        for path in (old_path, current):
+            with open(path, "wb") as handle:
+                np.savez(handle, **arrays)
+        with pytest.raises(Exception, match="schema"):
+            ss.load_structure(current)
+
+        clear_structure_cache()
+        rebuilt = ss.cached_structure(N_TEST, tmp_path)
+        _assert_structures_equal(structure, rebuilt)
+        clear_structure_cache()
+        reloaded = ss.load_structure(current)
+        _assert_structures_equal(structure, reloaded)
+        with np.load(current) as payload:
+            assert int(payload["meta"][0]) == ss.STRUCT_SCHEMA_VERSION == 2
+            assert not any(name.startswith("dag_ell_") for name in payload.files)
+        clear_structure_cache()
 
     def test_cache_path_is_schema_versioned(self, tmp_path):
         path = ss.structure_cache_path(40, tmp_path)
@@ -253,8 +287,9 @@ class TestSharedStructureResults:
             )
 
     def test_npz_layer_through_process_pool(self, tmp_path):
+        # The vector+procs hybrid's pool workers load from the disk layer.
         config = StructureShareConfig(use_shm=False, npz_dir=str(tmp_path))
-        backend = ProcessPoolBackend(max_workers=2, structure_share=config)
+        backend = VectorBackend(chunk_workers=2, structure_share=config)
         batch = BatchRunner(backend=backend).run(self.GRID)
         batch.report.raise_on_error()
         assert ss.structure_cache_path(
@@ -296,13 +331,12 @@ class TestPlumbing:
         assert bare.backend.structure_share.use_shm
         assert bare.backend.structure_share.npz_dir is None
 
-    def test_serial_backend_uses_disk_layer(self, tmp_path):
-        # --structure-cache must not be silently dropped for in-process
-        # backends: a serial run persists (and later loads) the skeleton.
-        from repro.engine import SerialBackend
-
+    def test_in_process_solve_uses_disk_layer(self, tmp_path):
+        # --structure-cache must not be silently dropped when a batch is
+        # too small to fan out: the inline solve persists (and later
+        # loads) the skeleton.
         config = StructureShareConfig(use_shm=False, npz_dir=str(tmp_path))
-        backend = SerialBackend(structure_share=config)
+        backend = VectorBackend(chunk_workers=2, structure_share=config)
         batch = BatchRunner(backend=backend).run(
             [EvalRequest(params=GCSParameters.small_test())]
         )

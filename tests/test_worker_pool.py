@@ -956,8 +956,8 @@ class TestServiceWorkerEndToEnd:
             }
             assert by_name["hare"]["throughput_points_per_s"] is not None
             assert by_name["hare"]["throughput_points_per_s"] > 0
-            assert by_name["hare"]["backend"] == "serial"
-            assert by_name["tortoise"]["backend"] == "serial"
+            assert by_name["hare"]["backend"] == "vector"
+            assert by_name["tortoise"]["backend"] == "vector"
         finally:
             for worker in (tortoise, hare):
                 if worker is not None:
