@@ -20,8 +20,8 @@ Subcommands:
   submit campaigns to with ``--jobs remote[:URL]`` (see
   ``docs/service.md``); ``--lease-ttl``/``--heartbeat-interval``/
   ``--chunk-size``/``--max-chunk-attempts`` tune its worker pool and
-  ``--chunks-per-worker``/``--no-steal``/``--no-speculate`` its
-  adaptive scheduler;
+  ``--chunks-per-worker`` its adaptive chunk sizing (idle workers
+  always duplicate a straggler's chunk near the job tail);
 * ``work --server URL`` — run a pool worker against a sweep service:
   register, lease chunks of submitted campaigns, evaluate them on a
   local backend (``--jobs``), and report outcomes back; any number of
@@ -545,22 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
             "worker when --chunk-size is auto (default 4)"
         ),
     )
-    p_serve.add_argument(
-        "--no-steal",
-        action="store_true",
-        help=(
-            "disable work stealing (idle workers splitting the tail "
-            "off a straggler's leased chunk)"
-        ),
-    )
-    p_serve.add_argument(
-        "--no-speculate",
-        action="store_true",
-        help=(
-            "disable tail speculation (idle workers duplicate-leasing "
-            "in-flight chunks near the job tail)"
-        ),
-    )
     _add_engine_flags(p_serve)
 
     p_work = sub.add_parser(
@@ -956,8 +940,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             max_attempts=args.max_chunk_attempts,
             chunks_per_worker=args.chunks_per_worker,
-            steal=not args.no_steal,
-            speculate=not args.no_speculate,
         ),
     )
     server = ServiceServer(service, host=args.host, port=args.port)

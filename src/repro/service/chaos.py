@@ -20,8 +20,8 @@ hook points in the chunk lifecycle:
 * **slow worker** — sleep a fixed delay inside every chunk evaluation
   (while the heartbeat sidecar keeps the lease alive). The worker is a
   *straggler*, not a corpse: the scheduler must route around it with
-  throughput-aware sizing, work stealing, and tail speculation rather
-  than lease expiry.
+  throughput-aware sizing and tail speculation rather than lease
+  expiry.
 * **corrupt chunk** — deterministically fail the evaluation of
   selected chunks, reported as a chunk-level failure with a traceback.
   Selection is seeded by ``(seed, chunk_id)`` — chunk ids are

@@ -43,25 +43,21 @@ straggler pin the job tail):
   right now (never frozen at distribution time, so a job submitted to
   an empty pool still spreads over late-joining workers) and weighted
   by the leasing worker's measured throughput — an EWMA of points/sec
-  from its chunk reports (``ChunkReport.elapsed_s``), seeded by the
-  backend capability it advertised at registration (``vector`` workers
-  start with proportionally larger chunks than ``serial`` ones).
-* **Work stealing** — an idle worker with nothing pending splits the
-  tail half off the largest straggler's leased chunk and evaluates it
-  concurrently (``service.chunks_stolen``); whichever copy of a point
-  reports first wins.
-* **Tail speculation** — near the job tail (nothing left to carve or
-  steal) an idle worker duplicate-leases an in-flight chunk outright
-  (``service.leases_speculated``); the first complete report resolves
-  it and the loser is dropped by the exactly-once dedup.
+  from its chunk reports (``ChunkReport.elapsed_s``).  A worker with no
+  timed report yet gets the mean share.
+* **Tail speculation** — near the job tail (nothing pending and
+  nothing left to carve) an idle worker duplicate-leases the
+  longest-held in-flight chunk (``service.leases_speculated``); the
+  first complete report resolves it and the loser is dropped by the
+  exactly-once dedup.
 
 Results are **exactly-once per point**: the first report carrying a
-point resolves it; later copies — from slow workers, stolen tails, or
-speculative duplicates — are skipped, and a whole-chunk duplicate is
-counted (``service.duplicate_results``) and dropped.  Byte-identity
-with ``--jobs serial`` holds because every copy of a point evaluates
-through the same :func:`repro.engine.executor.run_chunk` protocol on
-the same deterministic solver, so it does not matter which copy wins.
+point resolves it; a later copy of a chunk — from a slow worker or a
+speculative duplicate — is counted (``service.duplicate_results``) and
+dropped.  Byte-identity with ``--jobs serial`` holds because every copy
+of a point evaluates through the same
+:func:`repro.engine.executor.run_chunk` protocol on the same
+deterministic solver, so it does not matter which copy wins.
 """
 
 from __future__ import annotations
@@ -103,6 +99,13 @@ log = logging.getLogger(__name__)
 #: Holder key used for leases taken by the server's own fallback loop.
 _LOCAL_HOLDER = "<local>"
 
+#: Concurrent leases per chunk: the original plus one speculative copy.
+_MAX_LEASES_PER_CHUNK = 2
+
+#: EWMA smoothing factor for per-worker throughput (points/sec):
+#: ``ewma ← α·observed + (1−α)·ewma``.
+_THROUGHPUT_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -137,27 +140,10 @@ class PoolConfig:
     #: ``chunk_size`` is auto (load balancing vs. per-chunk HTTP
     #: overhead).
     chunks_per_worker: int = 4
-    #: Allow idle workers to split the tail off a straggler's leased
-    #: chunk when nothing is pending.
-    steal: bool = True
-    #: Allow idle workers to duplicate-lease in-flight chunks near the
-    #: job tail (first complete report wins).
-    speculate: bool = True
-    #: A leased chunk must have been held at least this long before it
-    #: can be stolen from or speculatively duplicated (avoids
-    #: thrashing fresh leases).
+    #: A leased chunk must have been held at least this long before an
+    #: idle worker may duplicate it near the job tail (avoids
+    #: thrashing fresh leases; ``math.inf`` never speculates).
     tail_min_lease_age_s: float = 1.0
-    #: Smallest leased chunk stealing may split (the stolen tail is
-    #: half of it).
-    steal_min_points: int = 2
-    #: Maximum concurrent leases per chunk (original + speculative).
-    max_leases_per_chunk: int = 2
-    #: EWMA smoothing factor for per-worker throughput (points/sec):
-    #: ``ewma ← α·observed + (1−α)·ewma``.
-    throughput_alpha: float = 0.3
-    #: Capability prior for workers advertising a ``vector`` backend,
-    #: used to weight their chunk sizes until real throughput arrives.
-    vector_weight: float = 4.0
     #: How often the dispatching thread wakes to reap expired leases.
     reap_tick_s: float = 0.25
     #: Requeue backoff: ``backoff_base_s · 2^(failures-1)`` capped at
@@ -178,8 +164,6 @@ class PoolConfig:
             "chunk_size": self.chunk_size,
             "chunks_per_worker": self.chunks_per_worker,
             "max_attempts": self.max_attempts,
-            "steal": self.steal,
-            "speculate": self.speculate,
         }
 
 
@@ -253,13 +237,12 @@ def _chunk_id_for(seq: int, items: Sequence[Any]) -> str:
 class _Lease:
     """One worker's (or the local fallback's) hold on a chunk."""
 
-    __slots__ = ("holder", "granted_at", "expires_at", "speculative")
+    __slots__ = ("holder", "granted_at", "expires_at")
 
-    def __init__(self, holder, granted_at, expires_at, speculative=False):
+    def __init__(self, holder, granted_at, expires_at):
         self.holder = holder
         self.granted_at = granted_at
         self.expires_at = expires_at
-        self.speculative = speculative
 
 
 class _Chunk:
@@ -281,7 +264,6 @@ class _Chunk:
         "leases",
         "not_before",
         "failures",
-        "stolen",
     )
 
     def __init__(self, chunk_id, job_id, indices, items, run):
@@ -295,7 +277,6 @@ class _Chunk:
         self.leases: dict[str, _Lease] = {}
         self.not_before = 0.0
         self.failures: list[dict] = []
-        self.stolen = False
 
     def pairs(self) -> list[tuple[int, Any]]:
         """The ``(global_index, item)`` pairs :func:`run_chunk` expects."""
@@ -311,9 +292,9 @@ class _Chunk:
 class _RunState:
     """Book-keeping for one ``run_distributed`` call.
 
-    Points resolve individually (``outcomes``/``resolved``): chunks may
-    overlap after a steal-split or speculative duplicate, and the first
-    report carrying a point wins.  ``next_index`` is the carve cursor —
+    Points resolve individually (``outcomes``/``resolved``); the first
+    report carrying a point wins.  ``pending`` holds requeued chunks
+    only, never resolved ones.  ``next_index`` is the carve cursor —
     work is chunked lazily, one lease at a time, never pre-split.
     """
 
@@ -424,8 +405,8 @@ class WorkerPool:
         log.info("worker %s deregistered", worker_id)
 
     def lease(self, worker_id: str) -> LeaseResponse:
-        """Hand ``worker_id`` a chunk — carved, requeued, stolen, or
-        speculated, in that order of preference."""
+        """Hand ``worker_id`` a chunk — requeued, carved, or a
+        speculative duplicate, in that order of preference."""
         now = time.monotonic()
         with self._cond:
             worker = self._require_worker(worker_id)
@@ -441,7 +422,7 @@ class WorkerPool:
             chunk.state = "leased"
             chunk.attempts += 1
             chunk.leases[worker_id] = _Lease(
-                worker_id, now, now + self.config.lease_ttl_s, speculative
+                worker_id, now, now + self.config.lease_ttl_s
             )
             worker.leases.add(chunk.chunk_id)
             worker.state = "busy"
@@ -699,7 +680,7 @@ class WorkerPool:
     ) -> Optional[tuple[_Chunk, bool]]:
         """Pick the chunk for a lease request, in preference order:
         requeued work whose backoff elapsed, freshly carved work, a
-        stolen straggler tail, a speculative duplicate."""
+        speculative duplicate of the job-tail straggler."""
         for run in self._runs:
             for _ in range(len(run.pending)):
                 chunk = run.pending.popleft()
@@ -709,20 +690,15 @@ class WorkerPool:
         for run in self._runs:
             if run.next_index < len(run.items):
                 return self._carve_locked(run, worker, now), False
-        if self.config.steal:
-            victim = self._steal_victim_locked(worker, now)
-            if victim is not None:
-                return self._split_locked(victim), False
-        if self.config.speculate:
-            target = self._speculation_target_locked(worker, now)
-            if target is not None:
-                metrics().counter("service.leases_speculated").add()
-                log.debug(
-                    "chunk %s: speculative duplicate lease for worker %s",
-                    target.chunk_id, worker.worker_id,
-                )
-                return target, True
-        return None
+        target = self._speculation_target_locked(worker, now)
+        if target is None:
+            return None
+        metrics().counter("service.leases_speculated").add()
+        log.debug(
+            "chunk %s: speculative duplicate lease for worker %s",
+            target.chunk_id, worker.worker_id,
+        )
+        return target, True
 
     def _carve_locked(
         self, run: _RunState, worker: Optional[WorkerInfo], now: float
@@ -749,7 +725,11 @@ class WorkerPool:
     def _lease_size_locked(
         self, worker: Optional[WorkerInfo], remaining: int, now: float
     ) -> int:
-        """Points for the next lease: live-count base × throughput share."""
+        """Points for the next lease: live-count base × throughput share.
+
+        The share is the worker's throughput EWMA over the mean of the
+        measured live workers; a worker not yet measured gets share 1.
+        """
         if self.config.chunk_size is not None:
             return min(remaining, max(1, self.config.chunk_size))
         live = [
@@ -760,20 +740,10 @@ class WorkerPool:
         denom = max(1, len(live)) * max(1, self.config.chunks_per_worker)
         base = remaining / denom
         share = 1.0
-        if worker is not None and live:
-            weights = [self._worker_weight(w) for w in live]
-            mean = sum(weights) / len(weights)
-            if mean > 0:
-                share = self._worker_weight(worker) / mean
+        measured = [w.throughput_ewma for w in live if w.throughput_ewma]
+        if worker is not None and worker.throughput_ewma and measured:
+            share = worker.throughput_ewma / (sum(measured) / len(measured))
         return max(1, min(remaining, math.ceil(base * min(share, 8.0))))
-
-    def _worker_weight(self, worker: WorkerInfo) -> float:
-        """Relative chunk-size weight: measured EWMA, else capability prior."""
-        if worker.throughput_ewma is not None and worker.throughput_ewma > 0:
-            return worker.throughput_ewma
-        if worker.backend.startswith("vector"):
-            return self.config.vector_weight
-        return 1.0
 
     def _observe_throughput_locked(
         self, worker: WorkerInfo, points: int, elapsed_s: Optional[float]
@@ -781,70 +751,20 @@ class WorkerPool:
         if elapsed_s is None or elapsed_s <= 0.0 or points <= 0:
             return
         observed = points / elapsed_s
-        alpha = self.config.throughput_alpha
         if worker.throughput_ewma is None:
             worker.throughput_ewma = observed
         else:
             worker.throughput_ewma = (
-                alpha * observed + (1.0 - alpha) * worker.throughput_ewma
+                _THROUGHPUT_ALPHA * observed
+                + (1.0 - _THROUGHPUT_ALPHA) * worker.throughput_ewma
             )
-
-    def _steal_victim_locked(
-        self, worker: WorkerInfo, now: float
-    ) -> Optional[_Chunk]:
-        """The leased chunk whose tail ``worker`` should steal, if any."""
-        best: Optional[_Chunk] = None
-        min_points = max(2, self.config.steal_min_points)
-        for run in self._runs:
-            for chunk in run.chunks:
-                if chunk.state != "leased" or chunk.stolen:
-                    continue
-                if len(chunk.items) < min_points:
-                    continue
-                if worker.worker_id in chunk.leases:
-                    continue
-                if chunk.oldest_lease_age(now) < self.config.tail_min_lease_age_s:
-                    continue
-                keep = len(chunk.items) - len(chunk.items) // 2
-                if all(
-                    run.outcomes[i] is not None for i in chunk.indices[keep:]
-                ):
-                    continue
-                if best is None or len(chunk.items) > len(best.items):
-                    best = chunk
-        return best
-
-    def _split_locked(self, victim: _Chunk) -> _Chunk:
-        """Steal-split: duplicate the tail half of ``victim`` as a new
-        chunk (the straggler keeps evaluating the whole thing; the
-        first report carrying each point wins)."""
-        run = victim.run
-        keep = len(victim.items) - len(victim.items) // 2
-        tail_items = victim.items[keep:]
-        child = _Chunk(
-            chunk_id=_chunk_id_for(run.next_seq, tail_items),
-            job_id=victim.job_id,
-            indices=victim.indices[keep:],
-            items=tail_items,
-            run=run,
-        )
-        run.next_seq += 1
-        victim.stolen = True
-        run.chunks.append(child)
-        self._chunks[child.chunk_id] = child
-        metrics().counter("service.chunks_stolen").add()
-        log.debug(
-            "chunk %s: stole %d-point tail as chunk %s",
-            victim.chunk_id, len(tail_items), child.chunk_id,
-        )
-        return child
 
     def _speculation_target_locked(
         self, worker: WorkerInfo, now: float
     ) -> Optional[_Chunk]:
         """The in-flight chunk ``worker`` should duplicate, if any —
-        the longest-held lease with unresolved points and spare lease
-        capacity (the job-tail straggler)."""
+        the longest-held lease with spare lease capacity (the job-tail
+        straggler)."""
         best: Optional[_Chunk] = None
         best_age = -1.0
         for run in self._runs:
@@ -853,12 +773,10 @@ class WorkerPool:
                     continue
                 if worker.worker_id in chunk.leases:
                     continue
-                if len(chunk.leases) >= max(1, self.config.max_leases_per_chunk):
+                if len(chunk.leases) >= _MAX_LEASES_PER_CHUNK:
                     continue
                 age = chunk.oldest_lease_age(now)
                 if age < self.config.tail_min_lease_age_s:
-                    continue
-                if all(run.outcomes[i] is not None for i in chunk.indices):
                     continue
                 if age > best_age:
                     best, best_age = chunk, age
@@ -1020,6 +938,8 @@ class WorkerPool:
             )
             self._resolve_locked(chunk, outcomes)
             return
+        if chunk.state == "pending":
+            return  # a late failure report for a chunk already requeued
         backoff = min(
             self.config.backoff_cap_s,
             self.config.backoff_base_s * (2 ** (len(chunk.failures) - 1)),
@@ -1034,8 +954,11 @@ class WorkerPool:
     def _resolve_locked(
         self, chunk: _Chunk, outcomes: list[PointOutcome]
     ) -> None:
-        """First report per point wins; stolen/speculative losers skip."""
+        """First report per point wins; a resolved chunk leaves ``pending``."""
         run = chunk.run
+        if chunk.state == "pending":
+            # A late report for a chunk requeued after lease expiry.
+            run.pending.remove(chunk)
         for outcome in outcomes:
             if run.outcomes[outcome.index] is None:
                 run.outcomes[outcome.index] = outcome

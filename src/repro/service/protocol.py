@@ -662,10 +662,20 @@ class ChunkReport:
                 elapsed = float(elapsed)
             except (TypeError, ValueError) as exc:
                 raise ProtocolError("'elapsed_s' must be a number") from exc
+        telemetry = data.get("telemetry")
+        if telemetry is not None:
+            if not isinstance(telemetry, Mapping):
+                raise ProtocolError("'telemetry' must be a JSON object")
+            delta = telemetry.get("metrics")
+            if delta is not None and not isinstance(delta, Mapping):
+                raise ProtocolError("'telemetry.metrics' must be a JSON object")
+            spans = telemetry.get("spans")
+            if spans is not None and not isinstance(spans, list):
+                raise ProtocolError("'telemetry.spans' must be a list")
         return cls(
             chunk_id=str(_require(data, "chunk_id")),
             outcomes=tuple(chunk_outcome_from_dict(o) for o in raw),
-            telemetry=data.get("telemetry"),
+            telemetry=telemetry,
             failed=dict(failed) if failed is not None else None,
             elapsed_s=elapsed,
         )

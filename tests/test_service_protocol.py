@@ -23,6 +23,7 @@ from repro.errors import ParameterError, ReproError
 from repro.params import GCSParameters, NetworkParameters
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    ChunkReport,
     FetchResponse,
     JobStatus,
     ProtocolError,
@@ -224,3 +225,22 @@ class TestStatusAndFetchPayloads:
         assert entry == {"index": 3, "source": "evaluated", "result": {"a": 1}}
         bare = outcome_entry_to_dict(0, "cache")
         assert "result" not in bare and "error" not in bare
+
+
+class TestChunkReportTelemetry:
+    @pytest.mark.parametrize(
+        "telemetry", [None, {}, {"metrics": {}, "spans": []}]
+    )
+    def test_well_formed_telemetry_accepted(self, telemetry):
+        report = ChunkReport.from_dict(
+            {"chunk_id": "c", "telemetry": telemetry}
+        )
+        assert report.telemetry == telemetry
+
+    @pytest.mark.parametrize(
+        "telemetry",
+        ["junk", [1], {"metrics": "junk"}, {"spans": {"a": 1}}, {"spans": "x"}],
+    )
+    def test_malformed_telemetry_raises_protocol_error(self, telemetry):
+        with pytest.raises(ProtocolError):
+            ChunkReport.from_dict({"chunk_id": "c", "telemetry": telemetry})

@@ -21,7 +21,9 @@ server with in-process :class:`~repro.service.worker.ServiceWorker`
 threads and inject faults via :class:`~repro.service.chaos.ChaosConfig`.
 """
 
+import dataclasses
 import json
+import math
 import os
 import threading
 import time
@@ -367,80 +369,85 @@ class TestWorkerPoolUnit:
 
 
 class TestAdaptiveScheduling:
-    """The ISSUE 9 scheduling layer: per-lease sizing, EWMA throughput,
-    work stealing, tail speculation, and the satellite correctness
-    fixes (empty-pool carving, lost-worker recovery, backoff hints)."""
+    """The scheduling layer: per-lease sizing, EWMA throughput, tail
+    speculation, and the pool's lease-bookkeeping fixes (empty-pool
+    carving, lost-worker recovery, backoff hints, late reports)."""
 
-    def test_lease_sizing_uses_capability_prior_then_throughput_ewma(self):
-        """A ``vector`` worker gets bigger chunks than a ``serial`` one
-        from its capability prior; once chunk timings arrive, measured
-        throughput (EWMA points/sec) takes over and is in the roster."""
+    def test_lease_sizing_uses_throughput_share(self):
+        """Sizing ignores the advertised backend: an unmeasured worker
+        gets share 1 (the mean of the measured live workers), a
+        measured one its EWMA points/sec over that mean; the EWMA is in
+        the roster."""
+        # A long TTL keeps every worker live while the test evaluates.
         pool = WorkerPool(
             _fast_config(
+                lease_ttl_s=30.0,
                 chunk_size=None,
                 chunks_per_worker=2,
-                steal=False,
-                speculate=False,
+                tail_min_lease_age_s=math.inf,
             )
         )
-        vec = pool.register(
-            WorkerRegistration(
-                name="vec", pid=1, host="h", backend="vector"
-            )
+        fast = pool.register(
+            WorkerRegistration(name="fast", pid=1, host="h", backend="vector")
         )
-        ser = pool.register(
-            WorkerRegistration(
-                name="ser", pid=2, host="h", backend="serial"
-            )
+        slow = pool.register(
+            WorkerRegistration(name="slow", pid=2, host="h", backend="serial")
         )
-        driver = _RunThread(pool, _many_requests(12))
+        driver = _RunThread(pool, _many_requests(24))
         driver.start()
         try:
-            # Capability prior (vector_weight=4 vs 1, mean 2.5):
-            # vec gets ceil(12/4 · 1.6) = 5 points, ser ceil(7/4 · 0.4) = 1.
-            vec_chunk = _lease_blocking(pool, vec.worker_id)
-            ser_chunk = _lease_blocking(pool, ser.worker_id)
-            assert len(vec_chunk.requests) == 5
-            assert len(ser_chunk.requests) == 1
-            assert len(vec_chunk.requests) > len(ser_chunk.requests)
+            # Nobody measured: share 1 whatever the backend.
+            # fast: ceil(24/4) = 6; slow: ceil(18/4) = 5.
+            fast_chunk = _lease_blocking(pool, fast.worker_id)
+            slow_chunk = _lease_blocking(pool, slow.worker_id)
+            assert len(fast_chunk.requests) == 6
+            assert len(slow_chunk.requests) == 5
 
             # Timed reports seed the EWMA (first observation verbatim).
             assert pool.report(
-                vec.worker_id, _evaluate_report(vec_chunk, elapsed_s=0.5)
+                fast.worker_id, _evaluate_report(fast_chunk, elapsed_s=0.5)
             )
             assert pool.report(
-                ser.worker_id, _evaluate_report(ser_chunk, elapsed_s=2.0)
-            )
-            by_name = {
-                e["name"]: e for e in pool.roster()["roster"]
-            }
-            assert by_name["vec"]["throughput_points_per_s"] == pytest.approx(
-                10.0
-            )
-            assert by_name["ser"]["throughput_points_per_s"] == pytest.approx(
-                0.5
-            )
-            assert by_name["vec"]["points_completed"] == 5
-
-            # Measured throughput now drives sizing (10 vs 0.5 pps,
-            # mean 5.25): vec gets ceil(6/4 · 10/5.25) = 3 points.
-            vec_chunk = _lease_blocking(pool, vec.worker_id)
-            assert len(vec_chunk.requests) == 3
-            # A second observation blends: 0.3·3 + 0.7·10 = 7.9.
-            assert pool.report(
-                vec.worker_id, _evaluate_report(vec_chunk, elapsed_s=1.0)
+                slow.worker_id, _evaluate_report(slow_chunk, elapsed_s=2.0)
             )
             by_name = {e["name"]: e for e in pool.roster()["roster"]}
-            assert by_name["vec"]["throughput_points_per_s"] == pytest.approx(
-                7.9
+            assert by_name["fast"]["throughput_points_per_s"] == pytest.approx(
+                12.0
             )
+            assert by_name["slow"]["throughput_points_per_s"] == pytest.approx(
+                2.5
+            )
+            assert by_name["fast"]["points_completed"] == 6
+
+            # A late joiner is unmeasured: share 1 over 3 live workers,
+            # ceil(13/6) = 3.  Measured shares (12 vs 2.5 pps, mean
+            # 7.25): fast ceil(10/6 · 12/7.25) = 3, slow
+            # ceil(7/6 · 2.5/7.25) = 1.
+            late = _register(pool, name="late")
+            late_chunk = _lease_blocking(pool, late.worker_id)
+            fast_chunk = _lease_blocking(pool, fast.worker_id)
+            slow_chunk = _lease_blocking(pool, slow.worker_id)
+            assert len(late_chunk.requests) == 3
+            assert len(fast_chunk.requests) == 3
+            assert len(slow_chunk.requests) == 1
+
+            # A second observation blends: 0.3·3 + 0.7·12 = 9.3.
+            assert pool.report(
+                fast.worker_id, _evaluate_report(fast_chunk, elapsed_s=1.0)
+            )
+            by_name = {e["name"]: e for e in pool.roster()["roster"]}
+            assert by_name["fast"]["throughput_points_per_s"] == pytest.approx(
+                9.3
+            )
+            assert pool.report(late.worker_id, _evaluate_report(late_chunk))
+            assert pool.report(slow.worker_id, _evaluate_report(slow_chunk))
 
             while driver.is_alive():
-                response = pool.lease(vec.worker_id)
+                response = pool.lease(fast.worker_id)
                 if response.chunk is None:
                     time.sleep(0.01)
                     continue
-                pool.report(vec.worker_id, _evaluate_report(response.chunk))
+                pool.report(fast.worker_id, _evaluate_report(response.chunk))
             driver.join(timeout=30)
             assert driver.error is None
             assert all(o.ok for o in driver.outcomes)
@@ -459,8 +466,7 @@ class TestAdaptiveScheduling:
             _fast_config(
                 chunk_size=None,
                 chunks_per_worker=2,
-                steal=False,
-                speculate=False,
+                tail_min_lease_age_s=math.inf,
             )
         )
         requests = _many_requests(12)
@@ -512,66 +518,18 @@ class TestAdaptiveScheduling:
         assert max(seen_sizes) <= 2
         assert len(seen_sizes) >= 3
 
-    def test_steal_splits_straggler_tail_byte_identical(self, tmp_path):
-        """An idle worker steals the tail half of a straggler's leased
-        chunk; both report, per-point first-wins keeps the batch
-        byte-identical to serial."""
+    def test_speculative_duplicate_lease_first_report_wins(self, tmp_path):
+        """Near the tail (nothing pending, nothing to carve) an idle
+        worker duplicate-leases the in-flight chunk; the first report
+        resolves it, the loser is dropped by the exactly-once dedup,
+        and the batch stays byte-identical to serial."""
         pool = WorkerPool(
-            _fast_config(
-                chunk_size=4,
-                speculate=False,
-                tail_min_lease_age_s=0.0,
-            )
-        )
-        slow = _register(pool, name="straggler")
-        fast = _register(pool, name="thief")
-        requests = _many_requests(4)
-        driver = _RunThread(pool, requests)
-        driver.start()
-
-        victim = _lease_blocking(pool, slow.worker_id)
-        assert len(victim.requests) == 4
-        # Nothing pending, nothing to carve: the idle worker splits the
-        # straggler's tail (last 2 of 4 points) off as a new chunk.
-        stolen = _lease_blocking(pool, fast.worker_id)
-        assert stolen.chunk_id != victim.chunk_id
-        assert not stolen.speculative
-        assert [r.fingerprint() for r in stolen.requests] == [
-            r.fingerprint() for r in victim.requests[2:]
-        ]
-        assert _counter("service.chunks_stolen") == 1
-
-        # Thief reports first; the straggler's full report then only
-        # fills the 2 points the thief didn't already resolve.
-        assert pool.report(fast.worker_id, _evaluate_report(stolen))
-        assert pool.report(slow.worker_id, _evaluate_report(victim))
-        driver.join(timeout=30)
-        assert driver.error is None
-
-        outcomes = driver.outcomes
-        assert [o.index for o in outcomes] == [0, 1, 2, 3]
-        assert all(o.ok for o in outcomes)
-        for outcome, reference in zip(
-            outcomes, _serial_reference(requests, tmp_path)
-        ):
-            assert _strip_timings(outcome.value.to_dict()) == _strip_timings(
-                reference.to_dict()
-            )
-
-    def test_speculative_duplicate_lease_first_report_wins(self):
-        """Near the tail (nothing to carve or steal) an idle worker
-        duplicate-leases the in-flight chunk; the first report resolves
-        it and the loser is dropped by the exactly-once dedup."""
-        pool = WorkerPool(
-            _fast_config(
-                chunk_size=2,
-                steal=False,
-                tail_min_lease_age_s=0.0,
-            )
+            _fast_config(chunk_size=2, tail_min_lease_age_s=0.0)
         )
         slow = _register(pool, name="straggler")
         fast = _register(pool, name="spectre")
-        driver = _RunThread(pool, _requests(2))
+        requests = _requests(2)
+        driver = _RunThread(pool, requests)
         driver.start()
 
         original = _lease_blocking(pool, slow.worker_id)
@@ -587,9 +545,100 @@ class TestAdaptiveScheduling:
         assert not pool.report(slow.worker_id, _evaluate_report(original))
         driver.join(timeout=30)
         assert driver.error is None
-        assert all(o.ok for o in driver.outcomes)
         assert _counter("service.duplicate_results") == 1
         assert _counter("service.chunks_completed") == 1
+
+        outcomes = driver.outcomes
+        assert [o.index for o in outcomes] == [0, 1]
+        assert all(o.ok for o in outcomes)
+        for outcome, reference in zip(
+            outcomes, _serial_reference(requests, tmp_path)
+        ):
+            assert _strip_timings(outcome.value.to_dict()) == _strip_timings(
+                reference.to_dict()
+            )
+
+    def test_failed_holder_leaves_chunk_to_surviving_lease(self):
+        """One of two holders reports ``failed`` while the other lease
+        is live: the chunk is not requeued, and the survivor's report
+        resolves it."""
+        pool = WorkerPool(
+            _fast_config(
+                lease_ttl_s=30.0, chunk_size=2, tail_min_lease_age_s=0.0
+            )
+        )
+        first = _register(pool, name="first")
+        second = _register(pool, name="second")
+        driver = _RunThread(pool, _requests(2))
+        driver.start()
+
+        original = _lease_blocking(pool, first.worker_id)
+        duplicate = _lease_blocking(pool, second.worker_id)
+        assert duplicate.chunk_id == original.chunk_id
+        assert pool.report(
+            first.worker_id,
+            ChunkReport(chunk_id=original.chunk_id, failed=dict(_FAILURE)),
+        )
+        assert _counter("service.chunks_failed") == 1
+        assert _counter("service.chunks_reassigned") == 0
+
+        assert pool.report(second.worker_id, _evaluate_report(duplicate))
+        driver.join(timeout=30)
+        assert driver.error is None
+        assert all(o.ok for o in driver.outcomes)
+        assert _counter("service.chunks_reassigned") == 0
+        assert _counter("service.chunks_completed") == 1
+        by_name = {e["name"]: e for e in pool.roster()["roster"]}
+        assert by_name["first"]["chunks_failed"] == 1
+        assert by_name["second"]["chunks_completed"] == 1
+
+    @pytest.mark.parametrize("late", ["result", "failed"])
+    def test_late_report_after_requeue_never_releases_twice(self, late):
+        """Regression: a report that arrives after the lease expired and
+        the chunk was requeued must not leave the chunk leasable twice.
+        A late result resolves it (the next lease carves fresh work); a
+        late failure keeps exactly one requeued copy."""
+        # The lease lapses after 0.2s, but the worker counts as live
+        # for 3s, so the local fallback never takes the chunks.
+        pool = WorkerPool(
+            _fast_config(
+                lease_ttl_s=0.2,
+                heartbeat_interval_s=1.0,
+                tail_min_lease_age_s=math.inf,
+            )
+        )
+        registered = _register(pool)
+        driver = _RunThread(pool, _requests(2))
+        driver.start()
+
+        first = _lease_blocking(pool, registered.worker_id)
+        deadline = time.monotonic() + 15
+        while _counter("service.chunks_reassigned") < 1:
+            assert time.monotonic() < deadline, "lease never expired"
+            time.sleep(0.02)
+        time.sleep(0.15)  # past the requeue backoff
+        if late == "result":
+            assert pool.report(registered.worker_id, _evaluate_report(first))
+        else:
+            pool.report(
+                registered.worker_id,
+                ChunkReport(chunk_id=first.chunk_id, failed=dict(_FAILURE)),
+            )
+            retry = _lease_blocking(pool, registered.worker_id)
+            assert (retry.chunk_id, retry.attempt) == (first.chunk_id, 2)
+            assert pool.report(registered.worker_id, _evaluate_report(retry))
+
+        fresh = _lease_blocking(pool, registered.worker_id)
+        assert fresh.chunk_id != first.chunk_id
+        assert fresh.attempt == 1
+        assert pool.report(registered.worker_id, _evaluate_report(fresh))
+        driver.join(timeout=30)
+        assert driver.error is None
+        assert all(o.ok for o in driver.outcomes)
+        assert pool.lease(registered.worker_id).chunk is None
+        assert _counter("service.chunks_dispatched") == (
+            2 if late == "result" else 3
+        )
 
     def test_backoff_blocked_lease_hints_actual_eligibility_wait(self):
         """When every pending chunk is backoff-blocked the lease
@@ -599,8 +648,7 @@ class TestAdaptiveScheduling:
             _fast_config(
                 backoff_base_s=0.5,
                 backoff_cap_s=1.0,
-                steal=False,
-                speculate=False,
+                tail_min_lease_age_s=math.inf,
                 max_attempts=3,
             )
         )
@@ -871,15 +919,13 @@ class TestServiceWorkerEndToEnd:
                 worker.stop()
             server.stop()
 
-    def test_slow_worker_tail_stolen_or_speculated_byte_identical(
-        self, tmp_path
-    ):
-        """The ISSUE 9 chaos scenario: one worker is deliberately slowed
+    def test_slow_worker_tail_speculated_byte_identical(self, tmp_path):
+        """The chaos straggler scenario: one worker is deliberately slowed
         (chaos chunk delay ≫ the fast worker's evaluation time) but
         keeps heartbeating — a straggler, not a corpse.  The scheduler
-        must finish the job tail via stealing/speculation instead of
-        waiting the straggler out, stay byte-identical to serial, and
-        surface per-worker throughput in the roster."""
+        must finish the job tail via speculation instead of waiting the
+        straggler out, stay byte-identical to serial, and surface
+        per-worker throughput in the roster."""
         server = _boot_server(
             tmp_path,
             pool_config=_fast_config(
@@ -947,10 +993,7 @@ class TestServiceWorkerEndToEnd:
                 )
 
             health = ServiceClient(server.url).health()
-            rescued = _health_counter(
-                health, "service.chunks_stolen"
-            ) + _health_counter(health, "service.leases_speculated")
-            assert rescued >= 1
+            assert _health_counter(health, "service.leases_speculated") >= 1
             by_name = {
                 e["name"]: e for e in health["workers"]["roster"]
             }
@@ -962,6 +1005,48 @@ class TestServiceWorkerEndToEnd:
             for worker in (tortoise, hare):
                 if worker is not None:
                     worker.stop()
+            server.stop()
+
+    def test_malformed_telemetry_is_a_400_before_any_state_change(
+        self, tmp_path
+    ):
+        """A report whose ``telemetry`` (or its ``metrics``/``spans``)
+        has the wrong shape is refused with 400 before the pool
+        resolves anything; the well-formed report then lands."""
+        server = _boot_server(
+            tmp_path, pool_config=_fast_config(lease_ttl_s=30.0)
+        )
+        try:
+            client = ServiceClient(server.url, retries=1)
+            worker_id = client.register_worker(name="junk", pid=1).worker_id
+            _wait_for_workers(server, 1)
+            job = _ClientThread(server.url, _requests(1), tmp_path / "cc")
+            job.start()
+            deadline = time.monotonic() + 15
+            chunk = None
+            while chunk is None:
+                assert time.monotonic() < deadline, "no chunk leased"
+                chunk = client.lease_chunk(worker_id).chunk
+                time.sleep(0.01)
+            good = _evaluate_report(chunk)
+
+            for telemetry in ("junk", {"metrics": [1]}, {"spans": {"a": 1}}):
+                with pytest.raises(ServiceError) as info:
+                    client.report_chunk(
+                        worker_id,
+                        dataclasses.replace(good, telemetry=telemetry),
+                    )
+                assert info.value.status == 400
+            health = client.health()
+            assert _health_counter(health, "service.chunks_completed") == 0
+            (entry,) = health["workers"]["roster"]
+            assert entry["leases"] == [chunk.chunk_id]
+
+            assert client.report_chunk(worker_id, good)
+            job.join(timeout=60)
+            assert job.error is None
+            job.batch.report.raise_on_error()
+        finally:
             server.stop()
 
     def test_health_workers_section_schema(self, tmp_path):
@@ -995,10 +1080,13 @@ class TestServiceWorkerEndToEnd:
             assert entry["leases"] == []
             assert entry["points_completed"] == 0
             assert entry["throughput_points_per_s"] is None
-            scheduling = client.health()["scheduling"]
-            assert scheduling["steal"] is True
-            assert scheduling["speculate"] is True
-            assert scheduling["chunks_per_worker"] == 4
+            assert client.health()["scheduling"] == {
+                "lease_ttl_s": 0.5,
+                "heartbeat_interval_s": 0.1,
+                "chunk_size": 1,
+                "chunks_per_worker": 4,
+                "max_attempts": 3,
+            }
         finally:
             server.stop()
 
